@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +53,16 @@ def test_point_add_inverse_is_infinity() -> None:
     p = ecdsa.point_mul(7, ecdsa.GENERATOR)
     neg = (p[0], ecdsa.P - p[1])
     assert ecdsa.point_add(p, neg) is None
+
+
+def test_point_mul_glv_matches_windowed() -> None:
+    """Full-width scalars on a non-generator point take the GLV ladder,
+    which must agree with the 4-bit window ladder oracle."""
+    rng = random.Random(7)
+    base = ecdsa._windowed_mul(rng.randrange(1, ecdsa.N), ecdsa.GENERATOR)
+    for _ in range(6):
+        k = rng.randrange(ecdsa.N)
+        assert ecdsa.point_mul(k, base) == ecdsa._windowed_mul(k, base)
 
 
 def test_sign_verify_roundtrip() -> None:

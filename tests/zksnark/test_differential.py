@@ -24,6 +24,7 @@ from repro.zksnark import (
 from repro.zksnark.bn128.curve import (
     G1,
     G2,
+    _g1_glv,
     g1_msm,
     g1_msm_naive,
     g1_mul,
@@ -255,57 +256,31 @@ def test_batch_verify_rejects_one_wrong_statement(optimized, keys) -> None:
     assert optimized.batch_verify(keys.verifying_key, statements, proofs) is False
 
 
-# ----- representation toggles: Montgomery x GLV axes (24 + 4 cases) ---------------
+# ----- G1 fast path (GLV + Pippenger) vs the naive oracle (24 cases) --------------
 #
-# The Montgomery-domain G1 core and the GLV decomposition are runtime
-# toggles; every combination must agree with the naive oracle (which
-# always runs the plain %-q double-and-add core, independent of the
-# toggles).
+# Scalar width is the one switch left on the G1 fast path: a scalar wider
+# than one GLV component takes the GLV split, a narrower one runs the
+# plain ladder (``g1_mul``) or plain Pippenger (``g1_msm``).  Each call
+# site gets its own axis; (True, True) is the all-full-width case.
 
 
-_TOGGLE_AXES = [(False, False), (False, True), (True, False), (True, True)]
+_WIDTH_AXES = [(False, False), (False, True), (True, False), (True, True)]
 
 
-@pytest.mark.parametrize("montgomery,glv", _TOGGLE_AXES)
+@pytest.mark.parametrize("long_msm,long_mul", _WIDTH_AXES)
 @pytest.mark.parametrize("case", range(6))
 def test_g1_paths_match_naive_under_toggles(
-    case: int, montgomery: bool, glv: bool
+    case: int, long_msm: bool, long_mul: bool
 ) -> None:
-    from repro.zksnark.bn128.curve import set_fast_opts
-
-    prior = set_fast_opts(montgomery=montgomery, glv=glv)
-    try:
-        rng = random.Random(11000 + case)
-        size = rng.randrange(1, 10)
-        points = _g1_points(rng, size)
-        # Full-width scalars so the GLV split actually engages.
-        scalars = [rng.randrange(0, CURVE_ORDER) for _ in range(size)]
-        assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
-        k = rng.randrange(1, CURVE_ORDER)
-        point = points[0]
-        set_fast_opts(montgomery=False, glv=False)
-        reference = g1_mul(point, k)
-        set_fast_opts(montgomery=montgomery, glv=glv)
-        assert g1_mul(point, k) == reference
-    finally:
-        set_fast_opts(*prior)
-
-
-@pytest.mark.parametrize("montgomery,glv", _TOGGLE_AXES)
-def test_verify_accepts_proof_under_every_toggle_combo(
-    optimized, keys, montgomery: bool, glv: bool
-) -> None:
-    """Proof produced under one toggle combo verifies under every other."""
-    from repro.zksnark.bn128.curve import set_fast_opts
-
-    rng = random.Random(12000)
-    instance = _instance(rng)
-    statement = [instance["out"], instance["a"]]
-    prior = set_fast_opts(montgomery=montgomery, glv=glv)
-    try:
-        proof = optimized.prove(keys.proving_key, ProductCircuit(), instance)
-        assert optimized.verify(keys.verifying_key, statement, proof) is True
-    finally:
-        set_fast_opts(*prior)
-    # Cross-check: the proof from this combo verifies with defaults too.
-    assert optimized.verify(keys.verifying_key, statement, proof) is True
+    bound = _g1_glv()[0].max_component_bits()
+    rng = random.Random(11000 + case)
+    size = rng.randrange(1, 10)
+    points = _g1_points(rng, size)
+    high = CURVE_ORDER if long_msm else 1 << bound
+    scalars = [rng.randrange(0, high) for _ in range(size)]
+    assert (max(s.bit_length() for s in scalars) > bound) == long_msm
+    assert g1_msm(points, scalars) == g1_msm_naive(points, scalars)
+    k = rng.randrange(1, CURVE_ORDER if long_mul else 1 << bound)
+    assert (k.bit_length() > bound) == long_mul
+    point = points[0]
+    assert g1_mul(point, k) == g1_msm_naive([point], [k])
