@@ -9,12 +9,12 @@ simulated PoW available for tests that need probabilistic sealing.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro import observability as obs
 from repro.crypto import ecdsa
 from repro.crypto.hashing import keccak256
-from repro.errors import InvalidBlockError
+from repro.errors import InvalidBlockError, SignatureError
 from repro.chain.block import BlockHeader
 
 
@@ -35,12 +35,19 @@ class ConsensusEngine(abc.ABC):
 
 
 class PoAEngine(ConsensusEngine):
-    """Round-robin proof-of-authority among a fixed validator set."""
+    """Round-robin proof-of-authority among a fixed validator set.
 
-    def __init__(self, validators: Sequence[bytes]) -> None:
-        if not validators:
+    The engine holds the validators' public keys, so a seal is checked
+    by verifying it against the key whose turn it is
+    (:func:`ecdsa.signed_by`, one ladder) rather than by recovering the
+    signer and comparing addresses.
+    """
+
+    def __init__(self, validator_keys: Sequence[Tuple[int, int]]) -> None:
+        if not validator_keys:
             raise ValueError("PoA requires at least one validator")
-        self.validators: List[bytes] = list(validators)
+        self.validator_keys: List[Tuple[int, int]] = list(validator_keys)
+        self.validators: List[bytes] = [ecdsa.address_of(k) for k in validator_keys]
 
     def expected_proposer(self, height: int) -> bytes:
         return self.validators[height % len(self.validators)]
@@ -51,19 +58,25 @@ class PoAEngine(ConsensusEngine):
         return miner_key.sign(header.hash_without_seal()).to_bytes()
 
     def validate_seal(self, header: BlockHeader) -> None:
-        expected = self.expected_proposer(header.number)
-        if header.miner != expected:
+        turn = header.number % len(self.validators)
+        if header.miner != self.validators[turn]:
             obs.count("consensus.seal_rejections")
             raise InvalidBlockError(
                 f"block {header.number} sealed by the wrong validator"
             )
         try:
             signature = ecdsa.ECDSASignature.from_bytes(header.seal)
-            signer = ecdsa.recover_address(header.hash_without_seal(), signature)
-        except Exception as exc:  # noqa: BLE001 - any failure is invalid
+        except SignatureError as exc:
             obs.count("consensus.seal_rejections")
             raise InvalidBlockError(f"unreadable PoA seal: {exc}") from exc
-        if signer != expected:
+        if signature.s > ecdsa.HALF_N:
+            # The (r, N - s) twin of a valid seal also verifies; accepting
+            # it would let anyone re-seal a block under a second hash.
+            obs.count("consensus.seal_rejections")
+            raise InvalidBlockError("PoA seal is not low-s (EIP-2)")
+        if not ecdsa.signed_by(
+            self.validator_keys[turn], header.hash_without_seal(), signature
+        ):
             obs.count("consensus.seal_rejections")
             raise InvalidBlockError("PoA seal signed by the wrong key")
         obs.count("consensus.seals_validated")

@@ -101,7 +101,7 @@ class Node:
         #: forked worker processes driving them (1/1 = serial).
         self.execution_lanes = max(1, execution_lanes)
         self.execution_workers = max(1, execution_workers)
-        self.engine = engine or PoAEngine([self.keypair.address()])
+        self.engine = engine or PoAEngine([self.keypair.public_key])
         self.vm = VM(schedule=schedule, chain_id=genesis.chain_id)
         self.mempool = Mempool(capacity=mempool_capacity)
         self.journal = ChainJournal()

@@ -91,7 +91,13 @@ class SignedTransaction:
 
     @cached_property
     def sender(self) -> bytes:
-        """The 20-byte sender address recovered from the signature."""
+        """The 20-byte sender address recovered from the signature.
+
+        High-s signatures are rejected (EIP-2): the (r, N - s, v ^ 1)
+        twin recovers the same sender under a different ``tx_hash``.
+        """
+        if self.signature.s > ecdsa.HALF_N:
+            raise InvalidTransactionError("high-s signature (EIP-2)")
         try:
             return ecdsa.recover_address(
                 self.transaction.signing_hash(), self.signature

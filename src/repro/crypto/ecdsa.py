@@ -4,11 +4,19 @@ This is the Ethereum transaction-signature algorithm: Jacobian-coordinate
 point arithmetic, RFC-6979 deterministic nonces, low-s normalization and
 public-key recovery (so the chain substrate can derive sender addresses
 from signatures exactly the way Ethereum does).
+
+Verification, recovery and arbitrary-point multiplication share one
+ladder, :func:`_double_mul` (u1·G + u2·Q): an affine fixed-base table
+for G, and a GLV split of u2 into two width-4 wNAF halves over affine
+odd multiples of Q and φ(Q) that share one doubling chain.
+:func:`signed_by` checks a signature against a known key with one
+ladder and is exactly ``recover_public_key(h, sig) == key``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Tuple
 
 from repro.crypto.hashing import hmac_sha256, keccak256, sha256
@@ -22,6 +30,9 @@ A = 0
 B = 7
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
+#: EIP-2 low-s bound: signers emit s ≤ HALF_N, and the chain rejects the
+#: (r, N − s) twin that would otherwise re-sign the same message.
+HALF_N = N // 2
 
 Point = Optional[Tuple[int, int]]  # None is the point at infinity.
 
@@ -90,6 +101,31 @@ def _jacobian_add(p1: Tuple[int, int, int], p2: Tuple[int, int, int]) -> Tuple[i
     return (nx, ny, nz)
 
 
+def _jacobian_add_affine(
+    p1: Tuple[int, int, int], p2: Tuple[int, int]
+) -> Tuple[int, int, int]:
+    """Mixed addition: Jacobian p1 plus an affine (z = 1) point p2."""
+    x1, y1, z1 = p1
+    if z1 == 0:
+        return (p2[0], p2[1], 1)
+    z1sq = (z1 * z1) % P
+    u2 = (p2[0] * z1sq) % P
+    s2 = (p2[1] * z1sq * z1) % P
+    if x1 == u2:
+        if y1 != s2:
+            return (0, 1, 0)
+        return _jacobian_double(p1)
+    h = (u2 - x1) % P
+    r = (s2 - y1) % P
+    h2 = (h * h) % P
+    h3 = (h * h2) % P
+    u1h2 = (x1 * h2) % P
+    nx = (r * r - h3 - 2 * u1h2) % P
+    ny = (r * (u1h2 - nx) - y1 * h3) % P
+    nz = (h * z1) % P
+    return (nx, ny, nz)
+
+
 def point_add(p1: Point, p2: Point) -> Point:
     """Affine point addition (via Jacobian coordinates)."""
     return _from_jacobian(_jacobian_add(_to_jacobian(p1), _to_jacobian(p2)))
@@ -119,7 +155,7 @@ def _glv_params() -> Tuple[GLVParams, int]:
 
 
 def _windowed_mul(scalar: int, point: Point) -> Point:
-    """4-bit fixed-window ladder (the pre-GLV path; also the oracle)."""
+    """4-bit fixed-window ladder: the short-scalar path and the oracle."""
     base = _to_jacobian(point)
     table: list = [None] * 16
     table[1] = base
@@ -138,46 +174,84 @@ def _windowed_mul(scalar: int, point: Point) -> Point:
     return _from_jacobian(result)
 
 
-def _glv_mul(scalar: int, point: Point) -> Point:
-    """GLV split + interleaved Shamir ladder: half the doubling count."""
+def _wnaf(scalar: int) -> list:
+    """Width-4 NAF of a signed scalar, least significant digit first.
+
+    Every non-zero digit is odd and in [-7, 7], and any two non-zero
+    digits are at least four positions apart; a negative scalar gets
+    the negated digits of its absolute value.
+    """
+    digits = []
+    while scalar:
+        digit = 0
+        if scalar & 1:
+            digit = scalar & 15
+            if digit >= 8:
+                digit -= 16
+            scalar -= digit
+        digits.append(digit)
+        scalar >>= 1
+    return digits
+
+
+def _odd_multiples(point: Tuple[int, int]) -> list:
+    """Affine lookup for a wNAF digit d: ``table[d]`` = d·point, d odd in ±[1, 7]."""
+    double = _jacobian_double(_to_jacobian(point))
+    table: list = [None] * 16  # negative digits index from the end
+    table[1] = point
+    acc = _to_jacobian(point)
+    for digit in (3, 5, 7):
+        acc = _jacobian_add(acc, double)
+        table[digit] = _from_jacobian(acc)
+    for digit in (1, 3, 5, 7):
+        x, y = table[digit]
+        table[-digit] = (x, P - y)
+    return table
+
+
+def _double_mul(u1: int, u2: int, point: Tuple[int, int]) -> Tuple[int, int, int]:
+    """u1·G + u2·point in Jacobian coordinates (scalars taken mod N).
+
+    The one secp256k1 ladder behind verification, recovery and
+    arbitrary-point multiplication.  u2 is split by GLV into two signed
+    ~128-bit halves k1 + k2·λ; each half runs a width-4 wNAF over the
+    affine odd multiples of ``point`` and of φ(point) = (β·x, y), and
+    both share one chain of ~128 doublings.  The u1·G part then adds
+    one affine fixed-base window entry per non-zero nibble of u1, with
+    no doublings at all.
+    """
     params, beta = _glv_params()
-    k1, k2 = params.decompose(scalar)
-    x, y = point
-    p1 = (x, y if k1 > 0 else -y % P, 1)
-    p2 = (x * beta % P, y if k2 > 0 else -y % P, 1)
-    k1, k2 = abs(k1), abs(k2)
-    p12 = _jacobian_add(p1, p2)
+    k1, k2 = params.decompose(u2)
+    table1 = _odd_multiples(point)
+    table2 = [None if e is None else (e[0] * beta % P, e[1]) for e in table1]
     acc = (0, 1, 0)
-    for i in range(max(k1.bit_length(), k2.bit_length()) - 1, -1, -1):
+    for d1, d2 in reversed(list(zip_longest(_wnaf(k1), _wnaf(k2), fillvalue=0))):
         acc = _jacobian_double(acc)
-        b1 = (k1 >> i) & 1
-        b2 = (k2 >> i) & 1
-        if b1:
-            acc = _jacobian_add(acc, p12 if b2 else p1)
-        elif b2:
-            acc = _jacobian_add(acc, p2)
-    return _from_jacobian(acc)
+        if d1:
+            acc = _jacobian_add_affine(acc, table1[d1])
+        if d2:
+            acc = _jacobian_add_affine(acc, table2[d2])
+    return _add_generator_multiple(acc, u1 % N)
 
 
 def point_mul(scalar: int, point: Point) -> Point:
     """Scalar multiplication on secp256k1.
 
-    Generator multiples (every signature, public key, and half of each
-    recovery) take a fixed-base window table: 64 pre-doubled windows
-    turn ~256 doubles + ~128 adds into at most 64 adds.  Arbitrary
-    points (signature recovery, verification) use GLV endomorphism
-    decomposition — two ~128-bit halves in one interleaved ladder — when
-    the scalar is wider than one decomposed component, and otherwise a
-    4-bit window ladder, which is also the differential oracle for the
-    GLV path.
+    Generator multiples (every signature and public key) take the
+    fixed-base table of affine window entries: at most 64 mixed adds and
+    no doublings.  Other points take :func:`_double_mul` (GLV split,
+    two width-4 wNAF halves sharing one doubling chain) when the scalar
+    is wider than one decomposed component, and otherwise the 4-bit
+    window ladder :func:`_windowed_mul`, which is also the differential
+    oracle for the GLV path.
     """
     scalar %= N
     if scalar == 0 or point is None:
         return None
     if point == GENERATOR:
-        return _generator_mul(scalar)
+        return _from_jacobian(_add_generator_multiple((0, 1, 0), scalar))
     if scalar.bit_length() > _glv_params()[0].max_component_bits():
-        return _glv_mul(scalar, point)
+        return _from_jacobian(_double_mul(0, scalar, point))
     return _windowed_mul(scalar, point)
 
 
@@ -187,7 +261,7 @@ _GENERATOR_TABLE: list | None = None
 
 
 def _generator_table() -> list:
-    """table[w][d] = (d << 4w) * G in Jacobian coordinates (lazy, cached)."""
+    """table[w][d] = (d << 4w)·G as an affine point (lazy, cached)."""
     global _GENERATOR_TABLE
     if _GENERATOR_TABLE is None:
         table = []
@@ -197,25 +271,24 @@ def _generator_table() -> list:
             acc = (0, 1, 0)
             for digit in range(1, 16):
                 acc = _jacobian_add(acc, base)
-                row[digit] = acc
+                row[digit] = _from_jacobian(acc)
             table.append(row)
             base = _jacobian_double(_jacobian_double(_jacobian_double(_jacobian_double(base))))
         _GENERATOR_TABLE = table
     return _GENERATOR_TABLE
 
 
-def _generator_mul(scalar: int) -> Point:
-    """Fixed-base multiplication of the generator (scalar in [1, N))."""
+def _add_generator_multiple(acc: Tuple[int, int, int], scalar: int) -> Tuple[int, int, int]:
+    """acc + scalar·G (scalar in [0, N)) by one mixed add per non-zero nibble."""
     table = _generator_table()
-    result = (0, 1, 0)
     window = 0
     while scalar:
         digit = scalar & 15
         if digit:
-            result = _jacobian_add(result, table[window][digit])
+            acc = _jacobian_add_affine(acc, table[window][digit])
         scalar >>= 4
         window += 1
-    return _from_jacobian(result)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -266,6 +339,7 @@ class ECDSAKeyPair:
             raise SignatureError("private key out of range")
         self.private_key = private_key
         self.public_key: Tuple[int, int] = point_mul(private_key, GENERATOR)  # type: ignore[assignment]
+        self._address: Optional[bytes] = None
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "ECDSAKeyPair":
@@ -275,14 +349,11 @@ class ECDSAKeyPair:
             candidate = 1
         return cls(candidate)
 
-    def public_key_bytes(self) -> bytes:
-        """Uncompressed public key (64 bytes, no 0x04 prefix — Ethereum style)."""
-        x, y = self.public_key
-        return x.to_bytes(32, "big") + y.to_bytes(32, "big")
-
     def address(self) -> bytes:
-        """Ethereum-style 20-byte address: keccak256(pubkey)[12:]."""
-        return keccak256(self.public_key_bytes())[12:]
+        """Ethereum-style 20-byte address: keccak256(pubkey)[12:] (cached)."""
+        if self._address is None:
+            self._address = address_of(self.public_key)
+        return self._address
 
     def sign(self, message_hash: bytes) -> ECDSASignature:
         """Sign a 32-byte message hash; low-s normalized, recoverable."""
@@ -301,30 +372,55 @@ class ECDSAKeyPair:
             v = point[1] & 1
             if point[0] >= N:  # astronomically rare; affects recovery id
                 v += 2
-            if s > N // 2:
+            if s > HALF_N:
                 s = N - s
                 v ^= 1
             return ECDSASignature(r=r, s=s, v=v)
 
 
-def verify(public_key: Tuple[int, int], message_hash: bytes, sig: ECDSASignature) -> bool:
-    """Verify a signature against an explicit public key."""
-    if not (1 <= sig.r < N and 1 <= sig.s < N):
-        return False
-    if not is_on_curve(public_key):
-        return False
+def _is_public_key(point: Point) -> bool:
+    """A finite curve point with canonical (fully reduced) coordinates."""
+    return point is not None and 0 <= point[0] < P and 0 <= point[1] < P and is_on_curve(point)
+
+
+def _signed_point(public_key: Point, message_hash: bytes, sig: ECDSASignature) -> Point:
+    """(z·s⁻¹)·G + (r·s⁻¹)·Q, the point whose x-coordinate a valid
+    signature's r is; None for an ill-formed key or out-of-range (r, s)."""
+    if not (1 <= sig.r < N and 1 <= sig.s < N) or not _is_public_key(public_key):
+        return None
     z = int.from_bytes(message_hash, "big")
     w = pow(sig.s, -1, N)
-    u1 = (z * w) % N
-    u2 = (sig.r * w) % N
-    point = point_add(point_mul(u1, GENERATOR), point_mul(u2, public_key))
-    if point is None:
-        return False
-    return point[0] % N == sig.r
+    return _from_jacobian(_double_mul(z * w, sig.r * w, public_key))  # type: ignore[arg-type]
+
+
+def verify(public_key: Tuple[int, int], message_hash: bytes, sig: ECDSASignature) -> bool:
+    """Verify a signature against an explicit public key (``v`` ignored)."""
+    point = _signed_point(public_key, message_hash, sig)
+    return point is not None and point[0] % N == sig.r
+
+
+def signed_by(public_key: Tuple[int, int], message_hash: bytes, sig: ECDSASignature) -> bool:
+    """True exactly when ``recover_public_key(message_hash, sig) == public_key``.
+
+    One ladder instead of recovery's two: the signature must verify, and
+    the point it verifies against must be the R that ``sig.v`` names —
+    x = r (+N when v ≥ 2, the x ≥ N overflow) with y-parity v & 1.  A
+    check against a known key (a PoA seal) needs no recovery at all.
+    """
+    point = _signed_point(public_key, message_hash, sig)
+    return (
+        point is not None
+        and point[0] == sig.r + (N if sig.v >= 2 else 0)
+        and point[1] & 1 == sig.v & 1
+    )
 
 
 def recover_public_key(message_hash: bytes, sig: ECDSASignature) -> Tuple[int, int]:
-    """Recover the signer's public key from a recoverable signature."""
+    """Recover the signer's public key from a recoverable signature.
+
+    Fails closed: the candidate Q = (−z·r⁻¹)·G + (s·r⁻¹)·R is returned
+    only after :func:`signed_by` re-checks it against the signature.
+    """
     if not (1 <= sig.r < N and 1 <= sig.s < N):
         raise SignatureError("signature components out of range")
     x = sig.r + (N if sig.v >= 2 else 0)
@@ -336,20 +432,20 @@ def recover_public_key(message_hash: bytes, sig: ECDSASignature) -> Tuple[int, i
         raise SignatureError("point decompression failed")
     if y & 1 != sig.v & 1:
         y = P - y
-    r_point: Point = (x, y)
     z = int.from_bytes(message_hash, "big")
     r_inv = pow(sig.r, -1, N)
-    # Q = r^-1 (s*R - z*G)
-    candidate = point_mul(
-        r_inv,
-        point_add(point_mul(sig.s, r_point), point_mul(N - (z % N), GENERATOR)),
-    )
-    if candidate is None or not verify(candidate, message_hash, sig):
+    candidate = _from_jacobian(_double_mul(-z * r_inv, sig.s * r_inv, (x, y)))
+    if candidate is None or not signed_by(candidate, message_hash, sig):
         raise SignatureError("public-key recovery produced an invalid key")
     return candidate
 
 
+def address_of(public_key: Tuple[int, int]) -> bytes:
+    """Ethereum-style 20-byte address: keccak256(x ‖ y)[12:]."""
+    x, y = public_key
+    return keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[12:]
+
+
 def recover_address(message_hash: bytes, sig: ECDSASignature) -> bytes:
     """Recover the 20-byte Ethereum-style sender address."""
-    x, y = recover_public_key(message_hash, sig)
-    return keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[12:]
+    return address_of(recover_public_key(message_hash, sig))

@@ -274,7 +274,7 @@ def test_nodes_with_different_lane_counts_agree() -> None:
     genesis = GenesisConfig(
         allocations={keypair.address(): FUNDING for keypair in SENDERS}
     )
-    engine = PoAEngine([miner_key.address()])
+    engine = PoAEngine([miner_key.public_key])
     miner = Node("serial-miner", genesis, engine=engine, keypair=miner_key,
                  is_miner=True)
     verifier = Node("parallel-verifier", genesis, engine=engine,
@@ -301,7 +301,7 @@ def test_tampered_receipts_root_rejected() -> None:
     genesis = GenesisConfig(
         allocations={keypair.address(): FUNDING for keypair in SENDERS}
     )
-    engine = PoAEngine([miner_key.address()])
+    engine = PoAEngine([miner_key.public_key])
     miner = Node("miner", genesis, engine=engine, keypair=miner_key, is_miner=True)
     verifier = Node("verifier", genesis, engine=engine, execution_lanes=2)
     miner.submit_transaction(_call(0, 0, KV_A, "bump", ["x"]))

@@ -97,3 +97,17 @@ def test_forged_signature_detected() -> None:
         assert forged.sender != KEY.address()
     except InvalidTransactionError:
         pass
+
+
+def test_high_s_twin_rejected() -> None:
+    """(r, N - s, v ^ 1) recovers the same signer under a new tx_hash, so
+    the chain refuses it (EIP-2) instead of accepting a second copy."""
+    signed = _tx().sign(KEY)
+    sig = signed.signature
+    twin_sig = ecdsa.ECDSASignature(r=sig.r, s=ecdsa.N - sig.s, v=sig.v ^ 1)
+    assert ecdsa.recover_address(signed.transaction.signing_hash(), twin_sig) == KEY.address()
+    twin = SignedTransaction(transaction=signed.transaction, signature=twin_sig)
+    assert twin.tx_hash != signed.tx_hash
+    with pytest.raises(InvalidTransactionError):
+        _ = twin.sender
+    assert not twin.verify_signature()

@@ -149,3 +149,27 @@ def test_verify_rejects_off_curve_key() -> None:
     kp = ecdsa.ECDSAKeyPair.from_seed(b"signer")
     signature = kp.sign(digest)
     assert not ecdsa.verify((1, 1), digest, signature)
+
+
+def test_signed_by_matches_recovery_and_rejects_non_canonical_keys() -> None:
+    kp = ecdsa.ECDSAKeyPair.from_seed(b"signer")
+    other = ecdsa.ECDSAKeyPair.from_seed(b"other")
+    digest = sha256(b"message")
+    signature = kp.sign(digest)
+    assert ecdsa.signed_by(kp.public_key, digest, signature)
+    assert not ecdsa.signed_by(other.public_key, digest, signature)
+    flipped = ecdsa.ECDSASignature(r=signature.r, s=signature.s, v=signature.v ^ 1)
+    assert not ecdsa.signed_by(kp.public_key, digest, flipped)
+    assert ecdsa.verify(kp.public_key, digest, flipped)  # verify ignores v
+    # (x + P, y) is the same curve point under different integers; recovery
+    # only ever returns reduced coordinates, so it never "is" that key.
+    x, y = kp.public_key
+    for alias in ((x + ecdsa.P, y), (x, y + ecdsa.P), None):
+        assert not ecdsa.signed_by(alias, digest, signature)
+        assert not ecdsa.verify(alias, digest, signature)
+
+
+def test_address_is_cached_per_keypair() -> None:
+    kp = ecdsa.ECDSAKeyPair.from_seed(b"signer")
+    assert kp.address() is kp.address()
+    assert kp.address() == ecdsa.address_of(kp.public_key)
