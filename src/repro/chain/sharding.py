@@ -942,22 +942,8 @@ class ShardedChain:
             return self.bind(address, near)
         return self._residence.setdefault(address, self.shard_of(address))
 
-    def fund(
-        self,
-        address: bytes,
-        amount: int,
-        mine: bool = True,
-        near: Optional[bytes] = None,
-    ) -> None:
-        if self.num_shards == 1:
-            return self.shard_testnets[0].fund(address, amount, mine=mine)
-        shard = self._fund_target(address, near)
-        tx = self._faucet_tx(shard, address, amount)
-        key = self.shard_testnets[shard].faucet_key
-        if mine:
-            self.tx_sender.send(tx, key)
-        else:
-            self.send_transaction(tx.sign(key))
+    def fund(self, address: bytes, amount: int, near: Optional[bytes] = None) -> None:
+        self.tx_sender.confirm_all([self.fund_async(address, amount, near)])
 
     def fund_async(
         self, address: bytes, amount: int, near: Optional[bytes] = None
@@ -970,15 +956,11 @@ class ShardedChain:
             self.shard_testnets[shard].faucet_key,
         )
 
-    def fund_system(self, address: bytes, amount: int, mine: bool = True) -> None:
+    def fund_system(self, address: bytes, amount: int) -> None:
         """Fund ``address`` on EVERY shard and mark it replicated: all
         its future transactions broadcast to all shards in lockstep
         (the RA's registry updates, the janitor's timeouts)."""
-        if self.num_shards == 1:
-            return self.shard_testnets[0].fund(address, amount, mine=mine)
-        pendings = self.fund_all_async(address, amount)
-        if mine:
-            self.tx_sender.confirm_all(pendings)
+        self.tx_sender.confirm_all(self.fund_all_async(address, amount))
 
     def fund_all_async(self, address: bytes, amount: int) -> List[PendingTx]:
         if self.num_shards == 1:

@@ -9,6 +9,12 @@ construction — every attempt reuses the original nonce, so the chain
 can include at most one of them; a consumed nonce with none of our
 hashes on-chain means a different transaction superseded ours, which is
 reported rather than retried forever.
+
+There is one retry implementation (:meth:`TxSender.service`) with two
+entry points: the engine broadcasts a wave and drives ``service`` on
+its own mining cadence, while the blocking ``send``/``send_with_report``
+/``send_signed`` broadcast one transaction and mine through the same
+loop (:meth:`TxSender.confirm_all`).
 """
 
 from __future__ import annotations
@@ -86,6 +92,8 @@ class PendingTx:
     broadcast_height: int = 0
     attempts: int = 1
     receipt: Optional[Receipt] = None
+    #: The current attempt's signed bytes (None: re-sign from ``keypair``).
+    signed: Optional[SignedTransaction] = None
 
     @property
     def confirmed(self) -> bool:
@@ -179,18 +187,9 @@ class TxSender:
         every in-flight transaction of a whole wave at once.
         """
         stx = tx.sign(keypair)
-        pending = PendingTx(
-            transaction=tx,
-            keypair=keypair,
-            sender=stx.sender,
-            tx_hashes=[stx.tx_hash],
-            broadcast_height=self.testnet.height,
+        return self._launch(
+            PendingTx(transaction=tx, keypair=keypair, sender=stx.sender, signed=stx)
         )
-        self.total_attempts += 1
-        self.testnet.send_transaction(stx)
-        if obs.TRACER.enabled:
-            obs.count("txsender.broadcasts")
-        return pending
 
     def poll(self, pending: PendingTx) -> Optional[Receipt]:
         """Look for a receipt of any attempt; caches it on the pending."""
@@ -203,10 +202,11 @@ class TxSender:
 
         Polls receipts, and for anything still unconfirmed after its
         backoff interval (see :meth:`retry_interval`) re-broadcasts with
-        a gas bump (same nonce, so at most one attempt can ever land).
-        Returns the still-pending subset.  Raises
-        :class:`TxAbandonedError` when a transaction exhausted its
-        attempts or its nonce was consumed by a stranger.
+        a gas bump (same nonce, so at most one attempt can ever land; a
+        keyless pending re-sends its identical signed bytes).  Returns
+        the still-pending subset.  Raises :class:`TxAbandonedError` when
+        a transaction exhausted its attempts or its nonce was consumed
+        by a stranger.
         """
         unconfirmed: List[PendingTx] = []
         for pending in pendings:
@@ -223,22 +223,80 @@ class TxSender:
             unconfirmed.append(pending)
         return unconfirmed
 
-    def confirm_all(
-        self, pendings: List[PendingTx], max_blocks: int = 256
-    ) -> List[Receipt]:
+    def confirm_all(self, pendings: List[PendingTx]) -> List[Receipt]:
         """Mine until every pending transaction is confirmed."""
-        remaining = self.service(list(pendings))
-        for _ in range(max_blocks):
-            if not remaining:
-                break
-            self.testnet.mine_block()
-            remaining = self.service(remaining)
-        if remaining:
-            raise TxAbandonedError(
-                f"{len(remaining)} transactions unconfirmed after "
-                f"{max_blocks} blocks"
-            )
+        self._mine_until_confirmed(pendings)
         return [pending.receipt for pending in pendings]
+
+    def rearm(self, pending: PendingTx) -> bool:
+        """Give an abandoned pending a fresh retry lease.
+
+        Resets its attempt budget and re-gossips its current attempt
+        under the original nonce (same slot, so at most one attempt can
+        ever land) — the recovery for transactions starved by network
+        faults rather than superseded on-chain.  False when it could
+        not be re-sent.
+        """
+        try:
+            self._gossip(pending)
+        except ChainError:
+            return False
+        pending.attempts = 1
+        return True
+
+    # ----- blocking API (serial clients) --------------------------------------------
+
+    def send(self, tx: Transaction, keypair: ecdsa.ECDSAKeyPair) -> Receipt:
+        return self.send_with_report(tx, keypair).receipt
+
+    def send_with_report(
+        self, tx: Transaction, keypair: ecdsa.ECDSAKeyPair
+    ) -> SendReport:
+        """Broadcast ``tx`` and mine until it confirms through drops and delays."""
+        with obs.span("txsender.send", nonce=tx.nonce) as send_span:
+            return self._send(send_span, self.broadcast(tx, keypair))
+
+    def send_signed(self, stx: SignedTransaction) -> Receipt:
+        """Confirm an externally signed transaction (rebroadcast-only).
+
+        Without the key we cannot bump the fee, but we can still retry
+        the identical bytes — idempotent because the chain dedupes by
+        nonce and the mempool by hash.
+        """
+        with obs.span(
+            "txsender.send", nonce=stx.transaction.nonce, signed=True
+        ) as send_span:
+            pending = PendingTx(
+                transaction=stx.transaction, keypair=None,
+                sender=stx.sender, signed=stx,
+            )
+            return self._send(send_span, self._launch(pending)).receipt
+
+    # ----- internals ----------------------------------------------------------------
+
+    def _launch(self, pending: PendingTx) -> PendingTx:
+        """First broadcast of a new pending."""
+        self._gossip(pending)
+        if obs.TRACER.enabled:
+            obs.count("txsender.broadcasts")
+        return pending
+
+    def _gossip(self, pending: PendingTx) -> None:
+        """Send the pending's current signed attempt and restart its timer.
+
+        A keyed pending re-signs after a gas bump (see :meth:`_retry`);
+        a keyless one re-sends its identical signed bytes.
+        """
+        if pending.signed is None:
+            if pending.keypair is None:
+                raise TxAbandonedError("cannot retry without the signed bytes")
+            pending.signed = pending.transaction.sign(pending.keypair)
+        stx = pending.signed
+        if stx.tx_hash not in pending.tx_hashes:
+            pending.tx_hashes.append(stx.tx_hash)
+        pending.broadcast_height = self.testnet.height
+        self.total_attempts += 1
+        self.testnet.send_transaction(stx)
 
     def _retry(self, pending: PendingTx) -> None:
         """Re-broadcast one timed-out pending (gas bump, same nonce)."""
@@ -254,20 +312,15 @@ class TxSender:
             raise TxAbandonedError(
                 f"no receipt after {pending.attempts} attempts"
             )
-        if pending.keypair is None:
-            raise TxAbandonedError("cannot retry without the signing key")
-        pending.transaction = replace(
-            pending.transaction,
-            gas_price=self._bumped_price(pending.transaction, pending.sender),
-        )
-        stx = pending.transaction.sign(pending.keypair)
-        if stx.tx_hash not in pending.tx_hashes:
-            pending.tx_hashes.append(stx.tx_hash)
+        if pending.keypair is not None:
+            pending.transaction = replace(
+                pending.transaction,
+                gas_price=self._bumped_price(pending.transaction, pending.sender),
+            )
+            pending.signed = None
         pending.attempts += 1
-        pending.broadcast_height = self.testnet.height
-        self.total_attempts += 1
         self.total_resubmissions += 1
-        self.testnet.send_transaction(stx)
+        self._gossip(pending)
         if obs.TRACER.enabled:
             obs.count("txsender.retries")
             obs.observe(
@@ -278,136 +331,39 @@ class TxSender:
                 buckets=(1, 2, 4, 8, 16, 32, 64),
             )
 
-    # ----- public API ---------------------------------------------------------------
+    def _mine_until_confirmed(self, pendings: List[PendingTx]) -> int:
+        """Mine and service until every pending confirms; returns blocks mined.
 
-    def send(self, tx: Transaction, keypair: ecdsa.ECDSAKeyPair) -> Receipt:
-        return self.send_with_report(tx, keypair).receipt
-
-    def send_with_report(
-        self, tx: Transaction, keypair: ecdsa.ECDSAKeyPair
-    ) -> SendReport:
-        """Broadcast ``tx``, confirming it through drops and delays."""
-        with obs.span("txsender.send", nonce=tx.nonce) as send_span:
-            report = self._send_with_report(tx, keypair)
-            send_span.set_attrs(
-                attempts=report.attempts, blocks_waited=report.blocks_waited
-            )
-        self._record_report(report)
-        return report
-
-    def _send_with_report(
-        self, tx: Transaction, keypair: ecdsa.ECDSAKeyPair
-    ) -> SendReport:
-        report = SendReport(final_gas_price=tx.gas_price)
-        sender = keypair.address()
-        current = tx
-        while report.attempts < self.max_attempts:
-            report.attempts += 1
-            self.total_attempts += 1
-            if report.attempts > 1:
-                self.total_resubmissions += 1
-            stx = current.sign(keypair)
-            if stx.tx_hash not in report.tx_hashes:
-                report.tx_hashes.append(stx.tx_hash)
-            self.testnet.send_transaction(stx)
-            receipt = self._await_receipt(
-                report,
-                self.retry_interval(sender, current.nonce, report.attempts),
-            )
-            if receipt is not None:
-                report.receipt = receipt
-                report.final_gas_price = current.gas_price
-                return report
-            # Timed out: nonce re-check decides between retry and abandon.
-            if self.testnet.any_node.nonce_of(sender) > current.nonce:
-                receipt = self._find_receipt(report.tx_hashes)
-                if receipt is not None:
-                    report.receipt = receipt
-                    report.final_gas_price = current.gas_price
-                    return report
-                raise TxAbandonedError(
-                    "nonce consumed by a transaction that is not ours"
-                )
-            current = replace(
-                current, gas_price=self._bumped_price(current, sender)
-            )
-        raise TxAbandonedError(
-            f"no receipt after {report.attempts} attempts "
-            f"({report.blocks_waited} blocks)"
-        )
-
-    def send_signed(self, stx: SignedTransaction) -> Receipt:
-        """Confirm an externally signed transaction (rebroadcast-only).
-
-        Without the key we cannot bump the fee, but we can still retry
-        the identical bytes — idempotent because the chain dedupes by
-        nonce and the mempool by hash.
+        The retry budget bounds the loop: every block raises the height,
+        and :meth:`_retry` raises once a pending has used ``max_attempts``.
         """
-        with obs.span(
-            "txsender.send", nonce=stx.transaction.nonce, signed=True
-        ) as send_span:
-            report, receipt = self._send_signed(stx)
-            send_span.set_attrs(
-                attempts=report.attempts, blocks_waited=report.blocks_waited
-            )
-        self._record_report(report)
-        return receipt
-
-    def _send_signed(self, stx: SignedTransaction):
-        report = SendReport(tx_hashes=[stx.tx_hash])
-        for _ in range(self.max_attempts):
-            report.attempts += 1
-            self.total_attempts += 1
-            if report.attempts > 1:
-                self.total_resubmissions += 1
-            self.testnet.send_transaction(stx)
-            receipt = self._await_receipt(
-                report,
-                self.retry_interval(
-                    stx.sender, stx.transaction.nonce, report.attempts
-                ),
-            )
-            if receipt is not None:
-                return report, receipt
-            if self.testnet.any_node.nonce_of(stx.sender) > stx.transaction.nonce:
-                receipt = self._find_receipt(report.tx_hashes)
-                if receipt is not None:
-                    return report, receipt
-                raise TxAbandonedError(
-                    "nonce consumed by a transaction that is not ours"
-                )
-        raise TxAbandonedError(
-            f"no receipt after {report.attempts} attempts "
-            f"({report.blocks_waited} blocks)"
-        )
-
-    # ----- internals ----------------------------------------------------------------
-
-    def _record_report(self, report: SendReport) -> None:
-        if not obs.TRACER.enabled:
-            return
-        obs.count("txsender.sends")
-        obs.count("txsender.attempts", report.attempts)
-        if report.attempts > 1:
-            obs.count("txsender.retries", report.attempts - 1)
-        obs.observe(
-            "txsender.blocks_waited", report.blocks_waited,
-            buckets=(0, 1, 2, 4, 8, 16, 32, 64),
-        )
-
-    def _await_receipt(
-        self, report: SendReport, interval: Optional[int] = None
-    ) -> Optional[Receipt]:
-        receipt = self._find_receipt(report.tx_hashes)
-        if receipt is not None:
-            return receipt
-        for _ in range(interval if interval is not None else self.timeout_blocks):
+        remaining = self.service(list(pendings))
+        blocks = 0
+        while remaining:
             self.testnet.mine_block()
-            report.blocks_waited += 1
-            receipt = self._find_receipt(report.tx_hashes)
-            if receipt is not None:
-                return receipt
-        return None
+            blocks += 1
+            remaining = self.service(remaining)
+        return blocks
+
+    def _send(self, send_span, pending: PendingTx) -> SendReport:
+        """Confirm one just-launched pending for a blocking caller."""
+        blocks = self._mine_until_confirmed([pending])
+        report = SendReport(
+            receipt=pending.receipt,
+            attempts=pending.attempts,
+            blocks_waited=blocks,
+            final_gas_price=pending.transaction.gas_price,
+            tx_hashes=list(pending.tx_hashes),
+        )
+        send_span.set_attrs(attempts=report.attempts, blocks_waited=blocks)
+        if obs.TRACER.enabled:
+            obs.count("txsender.sends")
+            obs.count("txsender.attempts", report.attempts)
+            obs.observe(
+                "txsender.blocks_waited", blocks,
+                buckets=(0, 1, 2, 4, 8, 16, 32, 64),
+            )
+        return report
 
     def _find_receipt(self, tx_hashes: List[bytes]) -> Optional[Receipt]:
         for node in self.testnet.network.nodes:

@@ -1,28 +1,41 @@
-"""TxSender timeout/retry semantics: at-most-once under loss."""
+"""TxSender timeout/retry semantics: at-most-once under loss.
+
+The retry cases run through both entry points of the one retry loop:
+the blocking ``send_with_report`` and the engine's ``broadcast`` +
+``service`` (one pass per mined block).
+"""
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import pytest
 
 from repro.crypto import ecdsa
 from repro.chain.network import Testnet
 from repro.chain.transaction import SignedTransaction, Transaction
-from repro.chain.txsender import TxAbandonedError, TxSender
+from repro.chain.txsender import PendingTx, SendReport, TxAbandonedError, TxSender
 
 USER = ecdsa.ECDSAKeyPair.from_seed(b"txs-user")
 SINK = b"\x42" * 20
 
 
 class _DropFirstN:
-    """An adversary censoring the first ``n`` broadcasts it sees."""
+    """An adversary censoring the first ``n`` broadcasts it sees.
 
-    def __init__(self, n: int) -> None:
+    With ``net`` given it also records the chain height of every
+    broadcast, so tests can read off the retry schedule.
+    """
+
+    def __init__(self, n: int, net: Optional[Testnet] = None) -> None:
         self.remaining = n
+        self.net = net
         self.dropped: List[bytes] = []
+        self.heights: List[int] = []
 
     def on_transaction(self, stx: SignedTransaction):
+        if self.net is not None:
+            self.heights.append(self.net.height)
         if self.remaining > 0:
             self.remaining -= 1
             self.dropped.append(stx.tx_hash)
@@ -34,6 +47,32 @@ def _funded_net() -> Testnet:
     net = Testnet()
     net.fund(USER.address(), 10**9)
     return net
+
+
+def _send_blocking(sender: TxSender, tx: Transaction, keypair) -> SendReport:
+    return sender.send_with_report(tx, keypair)
+
+
+def _send_batched(sender: TxSender, tx: Transaction, keypair) -> SendReport:
+    """The engine's entry point: broadcast, then one service pass per block."""
+    pending = sender.broadcast(tx, keypair)
+    remaining = [pending]
+    for _ in range(256):
+        if not remaining:
+            break
+        sender.testnet.mine_block()
+        remaining = sender.service(remaining)
+    assert remaining == []
+    return SendReport(
+        receipt=pending.receipt,
+        attempts=pending.attempts,
+        final_gas_price=pending.transaction.gas_price,
+        tx_hashes=pending.tx_hashes,
+    )
+
+
+#: The two entry points of the one retry loop; each retry case runs both.
+ENTRY_POINTS = [_send_blocking, _send_batched]
 
 
 def test_clean_send_confirms_in_one_attempt() -> None:
@@ -48,15 +87,16 @@ def test_clean_send_confirms_in_one_attempt() -> None:
 
 
 def test_dropped_tx_is_resubmitted_with_gas_bump() -> None:
-    net = _funded_net()
-    net.network.adversary = _DropFirstN(1)
-    sender = TxSender(net, timeout_blocks=2)
-    tx = Transaction(nonce=0, gas_price=100, gas_limit=21_000, to=SINK, value=7)
-    report = sender.send_with_report(tx, USER)
-    assert report.receipt.success
-    assert report.attempts == 2
-    assert report.final_gas_price == 125  # +25% bump on the retry
-    assert net.any_node.balance_of(SINK) == 7
+    for submit in ENTRY_POINTS:
+        net = _funded_net()
+        net.network.adversary = _DropFirstN(1)
+        sender = TxSender(net, timeout_blocks=2)
+        tx = Transaction(nonce=0, gas_price=100, gas_limit=21_000, to=SINK, value=7)
+        report = submit(sender, tx, USER)
+        assert report.receipt.success
+        assert report.attempts == 2
+        assert report.final_gas_price == 125  # +25% bump on the retry
+        assert net.any_node.balance_of(SINK) == 7
 
 
 def test_duplicate_resubmission_is_idempotent() -> None:
@@ -91,8 +131,6 @@ def test_duplicate_resubmission_is_idempotent() -> None:
 
 
 def test_superseded_nonce_is_reported_not_retried_forever() -> None:
-    net = _funded_net()
-
     class _Substituting:
         """Censors the victim and spends its nonce on something else."""
 
@@ -108,13 +146,15 @@ def test_superseded_nonce_is_reported_not_retried_forever() -> None:
                 return [self.replacement]
             return [stx]
 
-    net.network.adversary = _Substituting()
-    sender = TxSender(net, timeout_blocks=2, max_attempts=2)
-    tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=5)
-    with pytest.raises(TxAbandonedError):
-        sender.send(tx, USER)
-    assert net.any_node.balance_of(SINK) == 0
-    assert net.any_node.balance_of(b"\x43" * 20) == 1
+    for submit in ENTRY_POINTS:
+        net = _funded_net()
+        net.network.adversary = _Substituting()
+        sender = TxSender(net, timeout_blocks=2, max_attempts=2)
+        tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=5)
+        with pytest.raises(TxAbandonedError):
+            submit(sender, tx, USER)
+        assert net.any_node.balance_of(SINK) == 0
+        assert net.any_node.balance_of(b"\x43" * 20) == 1
 
 
 def test_send_signed_rebroadcasts_without_bump() -> None:
@@ -131,26 +171,28 @@ def test_send_signed_rebroadcasts_without_bump() -> None:
 
 
 def test_abandons_after_max_attempts_of_total_loss() -> None:
-    net = _funded_net()
-    net.network.adversary = _DropFirstN(10**6)  # black hole
-    sender = TxSender(net, timeout_blocks=1, max_attempts=3)
-    tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=1)
-    with pytest.raises(TxAbandonedError):
-        sender.send(tx, USER)
-    assert sender.total_attempts == 3
+    for submit in ENTRY_POINTS:
+        net = _funded_net()
+        net.network.adversary = _DropFirstN(10**6)  # black hole
+        sender = TxSender(net, timeout_blocks=1, max_attempts=3)
+        tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=1)
+        with pytest.raises(TxAbandonedError):
+            submit(sender, tx, USER)
+        assert sender.total_attempts == 3
 
 
 def test_gas_bump_clamped_to_sender_balance() -> None:
-    net = Testnet()
-    poor = ecdsa.ECDSAKeyPair.from_seed(b"txs-poor")
-    net.fund(poor.address(), 30_000)  # covers gas_limit at price 1 only
-    net.network.adversary = _DropFirstN(1)
-    sender = TxSender(net, timeout_blocks=2)
-    tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=100)
-    report = sender.send_with_report(tx, poor)
-    assert report.receipt.success
-    # (30_000 - 100) // 21_000 == 1: no affordable bump, same price resent.
-    assert report.final_gas_price == 1
+    for submit in ENTRY_POINTS:
+        net = Testnet()
+        poor = ecdsa.ECDSAKeyPair.from_seed(b"txs-poor")
+        net.fund(poor.address(), 30_000)  # covers gas_limit at price 1 only
+        net.network.adversary = _DropFirstN(1)
+        sender = TxSender(net, timeout_blocks=2)
+        tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=100)
+        report = submit(sender, tx, poor)
+        assert report.receipt.success
+        # (30_000 - 100) // 21_000 == 1: no affordable bump, same price resent.
+        assert report.final_gas_price == 1
 
 
 # ----- concurrent-sender additions: NonceManager + the async broadcast path ----------
@@ -269,25 +311,63 @@ def test_retry_interval_jitter_varies_across_senders() -> None:
 
 def test_backoff_slows_later_resubmissions() -> None:
     """Under total censorship the gaps between attempts must widen."""
+    for submit in ENTRY_POINTS:
+        net = _funded_net()
+        adversary = _DropFirstN(100, net)
+        net.network.adversary = adversary
+        sender = TxSender(
+            net, timeout_blocks=1, max_attempts=4, jitter_blocks=0
+        )
+        tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=1)
+        with pytest.raises(TxAbandonedError):
+            submit(sender, tx, USER)
+        heights = adversary.heights
+        gaps = [b - a for a, b in zip(heights, heights[1:])]
+        # Attempt 1 -> 2 after 1 block, 2 -> 3 after 2, 3 -> 4 after 4.
+        assert gaps == [1, 2, 4]
+
+
+def test_service_regossips_keyless_pending_unchanged() -> None:
+    """Without the key there is no gas bump: service() re-sends the
+    identical signed bytes, so the hash never changes."""
     net = _funded_net()
-    adversary = _DropFirstN(100)
+    adversary = _DropFirstN(1)
     net.network.adversary = adversary
-    sender = TxSender(
-        net, timeout_blocks=1, max_attempts=4, jitter_blocks=0
+    sender = TxSender(net, timeout_blocks=1)
+    stx = Transaction(
+        nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=4
+    ).sign(USER)
+    pending = PendingTx(
+        transaction=stx.transaction, keypair=None, sender=stx.sender,
+        tx_hashes=[stx.tx_hash], broadcast_height=net.height, signed=stx,
     )
-    tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=1)
-    pending = sender.broadcast(tx, USER)
-    attempt_heights = [net.height]
+    net.send_transaction(stx)
+    assert adversary.dropped == [stx.tx_hash]
     remaining = [pending]
-    for _ in range(12):
+    for _ in range(4):
         net.mine_block()
-        before = pending.attempts
-        try:
-            remaining = sender.service(remaining)
-        except TxAbandonedError:
+        remaining = sender.service(remaining)
+        if not remaining:
             break
-        if pending.attempts > before:
-            attempt_heights.append(net.height)
-    gaps = [b - a for a, b in zip(attempt_heights, attempt_heights[1:])]
-    # Attempt 1 -> 2 after 1 block, 2 -> 3 after 2, 3 -> 4 after 4.
-    assert gaps == [1, 2, 4]
+    assert remaining == []
+    assert pending.attempts == 2
+    assert pending.tx_hashes == [stx.tx_hash]
+    assert pending.receipt.tx_hash == stx.tx_hash
+    assert net.any_node.balance_of(SINK) == 4
+
+
+def test_confirm_all_waits_out_the_whole_retry_budget() -> None:
+    """Two dropped broadcasts at a 100-block timeout: attempt 3 goes out
+    300+ blocks after the first, past any fixed block cap, and still
+    confirms because the loop ends only when the retries do."""
+    net = _funded_net()
+    net.network.adversary = _DropFirstN(2)
+    sender = TxSender(net, timeout_blocks=100)
+    start = net.height
+    tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=SINK, value=6)
+    pending = sender.broadcast(tx, USER)
+    (receipt,) = sender.confirm_all([pending])
+    assert receipt.success
+    assert pending.attempts == 3
+    assert receipt.block_number - start > 300
+    assert net.any_node.balance_of(SINK) == 6

@@ -157,3 +157,49 @@ def test_jsonl_export_round_trips_the_run(traced_round) -> None:
     assert count == len(traced_round)
     parsed = obs.read_spans_jsonl(io.StringIO(buffer.getvalue()))
     assert parsed == traced_round
+
+
+def test_send_span_records_a_retry() -> None:
+    """One dropped broadcast: the blocking send's span and metrics show
+    the second attempt that confirmed it."""
+    from repro.chain.network import Testnet
+    from repro.chain.transaction import Transaction
+    from repro.chain.txsender import TxSender
+    from repro.crypto import ecdsa
+
+    class _DropFirst:
+        def __init__(self) -> None:
+            self.dropped = False
+
+        def on_transaction(self, stx):
+            if self.dropped:
+                return [stx]
+            self.dropped = True
+            return []
+
+    user = ecdsa.ECDSAKeyPair.from_seed(b"trace-retry")
+    testnet = Testnet()
+    testnet.fund(user.address(), 10**9)
+    testnet.network.adversary = _DropFirst()
+    sender = TxSender(testnet, timeout_blocks=2)
+    tx = Transaction(nonce=0, gas_price=1, gas_limit=21_000, to=b"\x42" * 20, value=1)
+    obs.reset()
+    obs.enable()
+    try:
+        report = sender.send_with_report(tx, user)
+        (span,) = [
+            s.to_dict() for s in obs.TRACER.finished_spans()
+            if s.name == "txsender.send"
+        ]
+        snap = obs.METRICS.snapshot()
+    finally:
+        obs.reset()
+        obs.disable()
+    assert report.receipt.success
+    assert span["attrs"]["attempts"] == 2
+    assert span["attrs"]["blocks_waited"] == report.blocks_waited == 3
+    counters = snap["counters"]
+    assert counters["txsender.sends"] == 1
+    assert counters["txsender.attempts"] == 2
+    assert counters["txsender.retries"] == 1
+    assert snap["histograms"]["txsender.blocks_waited"]["count"] == 1
