@@ -1138,7 +1138,3 @@ class ShardedChain:
             data=encode_call("send", [dest, recipient]),
             chain_id=self.genesis.chain_id,
         )
-
-
-#: Back-compat alias: the facade is a drop-in Testnet.
-ShardedTestnet = ShardedChain

@@ -37,6 +37,14 @@ PHASE_DEFAULTED = "defaulted"
 PHASE_ABORTED = "aborted"
 
 
+def answer_message(
+    task_address: bytes, submitter: bytes, ciphertext_wire: bytes
+) -> bytes:
+    """The exact bytes a worker's answer attestation authenticates:
+    α_C ‖ α_i ‖ C_i (Algorithm 1, AnswerCollection)."""
+    return task_prefix(task_address) + submitter + ciphertext_wire
+
+
 @ContractRegistry.register
 class TaskContract(Contract):
     """One crowdsourcing task (Algorithm 1)."""
@@ -188,7 +196,7 @@ class TaskContract(Contract):
         )
         self._require_valid_attestation(
             self.storage["registry"],
-            message=task_prefix(self.address) + self.msg_sender + ciphertext_wire,
+            message=answer_message(self.address, self.msg_sender, ciphertext_wire),
             attestation=attestation,
             context="submission not authenticated",
         )
@@ -414,7 +422,7 @@ class TaskContract(Contract):
                 [attestation.registry_commitment],
             )
             self.require(known, "audit: unknown registry commitment")
-            message = task_prefix(self.address) + submitter + ciphertext_wire
+            message = answer_message(self.address, submitter, ciphertext_wire)
             statements.append(attestation_statement(message, attestation))
             proofs.append(attestation.proof)
         if not proofs:

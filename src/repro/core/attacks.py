@@ -17,17 +17,17 @@ attack *executing* and the defence *holding*:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.crypto.hashing import sha256
-from repro.errors import ProofError, ProtocolError, UnsatisfiedConstraintError
+from repro.errors import ProofError, UnsatisfiedConstraintError
 from repro.chain.receipts import Receipt
-from repro.chain.transaction import Transaction, encode_call
+from repro.chain.transaction import encode_call
 from repro.serialization import decode
-from repro.anonauth.scheme import task_prefix
 from repro.core.anonymity import derive_one_task_account
 from repro.core.encryption import AnswerCiphertext
-from repro.core.protocol import DEFAULT_GAS_LIMIT, DEFAULT_GAS_PRICE, TaskHandle
+from repro.core.protocol import DEFAULT_GAS_PRICE, TaskHandle, client_transaction
 from repro.core.requester import Requester
 from repro.core.reward_circuit import CiphertextEntry, build_reward_instance
 from repro.core.worker import Worker
@@ -64,18 +64,14 @@ class FreeRiderWorker(Worker):
         system = self.system
         account = derive_one_task_account(self._seed, f"task:{task_address.hex()}")
         system.fund_anonymous(account.address, near=task_address)
-        certificate = system.current_certificate(self.keys.public_key)
-        commitment = system.registry_commitment()
-        message = task_prefix(task_address) + account.address + ciphertext_wire
-        attestation = system.scheme.auth(message, self.keys, certificate, commitment)
-        data = encode_call("submit_answer", [ciphertext_wire, attestation.to_wire()])
-        tx = Transaction(
-            nonce=system.node.nonce_of(account.address),
+        data = system.answer_calldata(
+            self.keys, task_address, account.address, ciphertext_wire
+        )
+        tx = replace(
+            client_transaction(
+                system.node.nonce_of(account.address), task_address, data
+            ),
             gas_price=DEFAULT_GAS_PRICE + 1,  # try to front-run the victim
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=task_address,
-            value=0,
-            data=data,
         )
         return system.send_and_confirm(tx.sign(account.keypair))
 
@@ -112,23 +108,11 @@ class MultiSubmissionWorker(Worker):
             from repro.core.encryption import encrypt_answer
 
             ciphertext = encrypt_answer(epk, list(answer_fields), system.mimc, rng)
-            wire = ciphertext.to_wire()
-            certificate = system.current_certificate(self.keys.public_key)
-            commitment = system.registry_commitment()
-            attestation = system.scheme.auth(
-                task_prefix(task_address) + account.address + wire,
-                self.keys,
-                certificate,
-                commitment,
+            data = system.answer_calldata(
+                self.keys, task_address, account.address, ciphertext.to_wire()
             )
-            data = encode_call("submit_answer", [wire, attestation.to_wire()])
-            tx = Transaction(
-                nonce=system.node.nonce_of(account.address),
-                gas_price=DEFAULT_GAS_PRICE,
-                gas_limit=DEFAULT_GAS_LIMIT,
-                to=task_address,
-                value=0,
-                data=data,
+            tx = client_transaction(
+                system.node.nonce_of(account.address), task_address, data
             )
             receipts.append(system.send_and_confirm(tx.sign(account.keypair)))
         return receipts
@@ -163,25 +147,11 @@ def prepare_equivocation(
     from repro.core.encryption import encrypt_answer
 
     ciphertext = encrypt_answer(epk, list(answer_fields), system.mimc, rng)
-    wire = ciphertext.to_wire()
-    certificate = system.current_certificate(worker.keys.public_key)
-    commitment = system.registry_commitment()
-    attestation = system.scheme.auth(
-        task_prefix(task_address) + account.address + wire,
-        worker.keys,
-        certificate,
-        commitment,
+    data = system.answer_calldata(
+        worker.keys, task_address, account.address, ciphertext.to_wire()
     )
-    data = encode_call("submit_answer", [wire, attestation.to_wire()])
-    tx = Transaction(
-        nonce=0,  # fresh one-task account: first and only transaction
-        gas_price=DEFAULT_GAS_PRICE,
-        gas_limit=DEFAULT_GAS_LIMIT,
-        to=task_address,
-        value=0,
-        data=data,
-    )
-    return account, tx
+    # Fresh one-task account: first and only transaction.
+    return account, client_transaction(0, task_address, data)
 
 
 class FalseReportingRequester(Requester):
@@ -227,23 +197,14 @@ class FalseReportingRequester(Requester):
     ) -> Receipt:
         """Send a garbage proof with a cheating reward vector on-chain."""
         system = self.system
-        record = self._record(handle)
         count = len(system.node.call(handle.address, "get_ciphertexts"))
         fake_payload = sha256(b"forged", bytes(8)) * 8
-        data = encode_call(
+        tx = self._task_transaction(
+            handle,
             "submit_reward_instruction",
             [list(rewards), [1] * count, system.backend_name, fake_payload[:256]],
         )
-        tx = Transaction(
-            nonce=record.nonce,
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=handle.address,
-            value=0,
-            data=data,
-        )
-        record.nonce += 1
-        return system.send_and_confirm(tx.sign(record.account.keypair))
+        return system.send_and_confirm(tx.sign(self.task_account(handle).keypair))
 
     def stonewall(self, handle: TaskHandle) -> None:
         """Simply never send an instruction (the contract's timeout bites)."""
@@ -274,23 +235,11 @@ class SelfColludingRequester(Requester):
         ciphertext = encrypt_answer(
             epk, list(answer_fields), system.mimc, random.Random(99)
         )
-        wire = ciphertext.to_wire()
-        certificate = system.current_certificate(self.keys.public_key)
-        commitment = system.registry_commitment()
-        attestation = system.scheme.auth(
-            task_prefix(task_address) + account.address + wire,
-            self.keys,
-            certificate,
-            commitment,
+        data = system.answer_calldata(
+            self.keys, task_address, account.address, ciphertext.to_wire()
         )
-        data = encode_call("submit_answer", [wire, attestation.to_wire()])
-        tx = Transaction(
-            nonce=system.node.nonce_of(account.address),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=task_address,
-            value=0,
-            data=data,
+        tx = client_transaction(
+            system.node.nonce_of(account.address), task_address, data
         )
         return system.send_and_confirm(tx.sign(account.keypair))
 
@@ -319,25 +268,16 @@ class BidSniper(Worker):
 
         system = self.system
         account = self.board_account(board_address)
-        certificate = system.current_certificate(self.keys.public_key)
-        commitment = system.registry_commitment()
-        attestation = system.scheme.auth(
-            bid_message(board_address, account.address, listing_id, stake),
-            self.keys,
-            certificate,
-            commitment,
+        attestation = system.attest(
+            self.keys, bid_message(board_address, account.address, listing_id, stake)
         )
         system.fund_anonymous(account.address, near=board_address)
         system.fund_anonymous(account.address, stake, near=board_address)
-        tx = Transaction(
-            nonce=system.node.nonce_of(account.address),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=board_address,
-            value=stake,
-            data=encode_call(
-                "place_bid", [listing_id, stake, attestation.to_wire()]
-            ),
+        tx = client_transaction(
+            system.node.nonce_of(account.address),
+            board_address,
+            encode_call("place_bid", [listing_id, stake, attestation.to_wire()]),
+            stake,
         )
         return system.send_and_confirm(tx.sign(account.keypair))
 

@@ -12,7 +12,8 @@ re-derive every deterministic secret (one-task accounts, task RSA
 keys) from the recorded identities, and converge to the same outcomes
 with exactly-once payment.
 
-Wire format::
+Wire format: the shared :func:`~repro.serialization.framed_encode`
+frame::
 
     b"ZLCP" | version (1 byte) | canonical payload | sha256(prefix)
 
@@ -27,15 +28,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.crypto import ecdsa
-from repro.crypto.hashing import sha256
 from repro.errors import CheckpointError
-from repro.serialization import decode, encode
+from repro.serialization import framed_decode, framed_encode
 from repro.chain.transaction import Transaction
 from repro.chain.txsender import PendingTx
 
 CHECKPOINT_MAGIC = b"ZLCP"
-CHECKPOINT_VERSION = 1
-_DIGEST_LEN = 32
+#: 2: task snapshots carry ``TaskSpec.colocate``.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -162,6 +162,8 @@ class TaskSnapshot:
     #: (a restored runner must not misread an old phase's confirmed
     #: wave as a settlement receipt).
     settling: bool = False
+    #: ``TaskSpec.colocate``: the address whose shard the task deploys on.
+    colocate: Optional[bytes] = None
 
     def to_obj(self) -> list:
         return [
@@ -179,6 +181,7 @@ class TaskSnapshot:
             [p.to_obj() for p in self.byzantine_wave],
             self.failures,
             int(self.settling),
+            self.colocate,
         ]
 
     @classmethod
@@ -188,7 +191,7 @@ class TaskSnapshot:
          instruction_window, rsa_bits, audit, requester_mode, equivocators,
          task_index, address, account_nonce, phase_blocks, phase_times,
          rewards, status, quarantined, quarantine_reason, wave,
-         byzantine_wave, failures, settling) = obj
+         byzantine_wave, failures, settling, colocate) = obj
         return cls(
             index=index,
             state=state,
@@ -217,6 +220,7 @@ class TaskSnapshot:
             byzantine_wave=[PendingTxSnapshot.from_obj(p) for p in byzantine_wave],
             failures=failures,
             settling=bool(settling),
+            colocate=colocate,
         )
 
 
@@ -260,38 +264,24 @@ class EngineCheckpoint:
 
 
 def encode_checkpoint(checkpoint: EngineCheckpoint) -> bytes:
-    """Serialize a checkpoint: magic + version + payload + sha256."""
+    """Serialize a checkpoint under the ZLCP frame."""
     try:
-        payload = encode(checkpoint.to_obj())
+        return framed_encode(
+            CHECKPOINT_MAGIC, checkpoint.version, checkpoint.to_obj()
+        )
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"unencodable checkpoint: {exc}") from exc
-    body = CHECKPOINT_MAGIC + bytes([checkpoint.version]) + payload
-    return body + sha256(body)
 
 
 def decode_checkpoint(data: bytes) -> EngineCheckpoint:
     """Parse and validate a checkpoint; rejects any damage loudly."""
     if not isinstance(data, (bytes, bytearray)):
         raise CheckpointError("checkpoint must be bytes")
-    data = bytes(data)
-    minimum = len(CHECKPOINT_MAGIC) + 1 + _DIGEST_LEN
-    if len(data) < minimum:
-        raise CheckpointError("checkpoint truncated")
-    if not data.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError("bad checkpoint magic")
-    body, digest = data[:-_DIGEST_LEN], data[-_DIGEST_LEN:]
-    if sha256(body) != digest:
-        raise CheckpointError("checkpoint checksum mismatch")
-    version = body[len(CHECKPOINT_MAGIC)]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    payload = body[len(CHECKPOINT_MAGIC) + 1:]
     try:
-        obj = decode(payload)
-        checkpoint = EngineCheckpoint.from_obj(obj, version)
+        obj = framed_decode(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes(data))
+        return EngineCheckpoint.from_obj(obj, CHECKPOINT_VERSION)
     except (ValueError, TypeError, IndexError) as exc:
-        raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
-    return checkpoint
+        raise CheckpointError(f"bad checkpoint: {exc}") from exc
 
 
 class CheckpointStore:

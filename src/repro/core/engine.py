@@ -80,9 +80,9 @@ from repro.core.policy import (
 from repro.core.protocol import (
     DEFAULT_GAS_ALLOWANCE,
     DEFAULT_GAS_LIMIT,
-    DEFAULT_GAS_PRICE,
     TaskHandle,
     ZebraLancerSystem,
+    client_transaction,
 )
 from repro.core.requester import PreparedPublish, Requester, RewardJob
 from repro.core.supervisor import RECOVERABLE, RetryPolicy, TaskSupervisor
@@ -664,13 +664,10 @@ class _TaskRunner:
         janitor = self.engine.janitor_ready()
         if janitor is None:
             return  # janitor funding still confirming
-        tx = Transaction(
-            nonce=self.engine.tx_sender.nonces.reserve(janitor.address()),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=self.handle.address,
-            value=0,
-            data=encode_call("finalize_timeout", []),
+        tx = client_transaction(
+            self.engine.tx_sender.nonces.reserve(janitor.address()),
+            self.handle.address,
+            encode_call("finalize_timeout", []),
         )
         self._settling = True
         self._broadcast([self.engine.tx_sender.broadcast(tx, janitor)])
@@ -800,6 +797,7 @@ class _TaskRunner:
                 PendingTxSnapshot.from_pending(p) for p in self._byzantine_wave
             ],
             settling=self._settling,
+            colocate=spec.colocate,
         )
 
     def _restore(self, snap: TaskSnapshot) -> None:
@@ -1041,6 +1039,7 @@ class ProtocolEngine:
                     audit=snap.audit,
                     requester_mode=snap.requester_mode,
                     equivocators=list(snap.equivocators),
+                    colocate=snap.colocate,
                 )
             )
         engine = cls(system, specs, **kwargs)
@@ -1261,7 +1260,6 @@ def engine_system(
     from dataclasses import replace
 
     from repro.chain.network import Testnet
-    from repro.core.protocol import DEFAULT_GAS_LIMIT
     from repro.profiles import TEST
 
     wave = max(1, num_tasks * (workers_per_task + 2))
@@ -1674,14 +1672,11 @@ def run_open_market(
     When no board is supplied one is deployed with windows sized to
     this wave (its attach window must outlast the engine run).
     """
-    from repro.core.anonymity import derive_one_task_account
     from repro.core.market import Arbiter, board_config, deploy_marketplace
 
     specs = list(specs)
     if not specs:
         raise ProtocolError("nothing to run on the market")
-    node = system.node
-    testnet = system.testnet
     if arbiter is None:
         arbiter = Arbiter(system)
     if board_address is None:
@@ -1800,16 +1795,9 @@ def _run_open_market(
                 raise ProtocolError(
                     f"claim on listing {listing_id} failed: {receipt.error}"
                 )
-        system.fund_anonymous(auditor.address, near=board_address)
-        validate_tx = Transaction(
-            nonce=node.nonce_of(auditor.address),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=board_address,
-            value=0,
-            data=encode_call("validate_task", [listing_id]),
+        receipt = system.transact(
+            auditor, board_address, encode_call("validate_task", [listing_id])
         )
-        receipt = system.send_reliable(validate_tx, auditor.keypair)
         if not receipt.success:
             raise ProtocolError(
                 f"validation of listing {listing_id} failed: {receipt.error}"

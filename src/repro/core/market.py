@@ -19,14 +19,10 @@ from typing import Optional
 
 from repro import observability as obs
 from repro.chain.receipts import Receipt
-from repro.chain.transaction import Transaction, encode_call, encode_create
+from repro.chain.transaction import encode_call, encode_create
 from repro.contracts.marketplace import PPM, DisputeVerdict
 from repro.core.anonymity import OneTaskAccount, derive_one_task_account
-from repro.core.protocol import (
-    DEFAULT_GAS_LIMIT,
-    DEFAULT_GAS_PRICE,
-    ZebraLancerSystem,
-)
+from repro.core.protocol import ZebraLancerSystem
 from repro.errors import ProtocolError
 
 #: Board configuration defaults (block counts / token amounts).
@@ -70,20 +66,14 @@ def deploy_marketplace(
     seed: bytes = b"marketplace-operator",
 ) -> bytes:
     """Deploy one board; returns its address."""
-    operator = derive_one_task_account(seed, "board-operator")
-    system.fund_anonymous(operator.address)
-    tx = Transaction(
-        nonce=system.node.nonce_of(operator.address),
-        gas_price=DEFAULT_GAS_PRICE,
-        gas_limit=DEFAULT_GAS_LIMIT,
-        to=None,
-        value=0,
-        data=encode_create(
+    receipt = system.transact(
+        derive_one_task_account(seed, "board-operator"),
+        None,
+        encode_create(
             "ZebraLancerMarketplace",
             [system.registry_address, arbiter, config or board_config()],
         ),
     )
-    receipt = system.send_reliable(tx, operator.keypair)
     if not receipt.success or receipt.contract_address is None:
         raise ProtocolError(f"board deployment failed: {receipt.error}")
     obs.count("market.deployments")
@@ -161,17 +151,11 @@ class Arbiter:
     def rule(self, board_address: bytes, listing_id: int) -> Receipt:
         """Decide and anchor the verdict (settlement happens in-call)."""
         verdict = self.decide(board_address, listing_id)
-        system = self.system
-        system.fund_anonymous(self.account.address, near=board_address)
-        tx = Transaction(
-            nonce=system.node.nonce_of(self.account.address),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=board_address,
-            value=0,
-            data=encode_call("rule_dispute", [listing_id, verdict.to_wire()]),
+        receipt = self.system.transact(
+            self.account,
+            board_address,
+            encode_call("rule_dispute", [listing_id, verdict.to_wire()]),
         )
-        receipt = system.send_reliable(tx, self.account.keypair)
         if not receipt.success:
             raise ProtocolError(f"ruling rejected: {receipt.error}")
         obs.count("market.rulings")

@@ -10,19 +10,23 @@ contract.  Requester/worker clients hang off this object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import observability as obs
 from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256
 from repro.errors import ProtocolError
 from repro.profiles import SecurityProfile, get_profile
-from repro.anonauth import AnonymousAuthScheme, RegistrationAuthority, setup as auth_setup
+from repro.anonauth import AnonymousAuthScheme, setup as auth_setup
 from repro.anonauth.authority import Certificate
+from repro.anonauth.keys import UserKeyPair
+from repro.anonauth.scheme import Attestation
 from repro.chain.network import Testnet
 from repro.chain.node import Node
 from repro.chain.receipts import Receipt
 from repro.chain.transaction import Transaction, encode_call, encode_create
+from repro.contracts.task import answer_message
+from repro.core.anonymity import OneTaskAccount
 from repro.core.params import TaskParameters
 from repro.core.policy import RewardPolicy
 from repro.core.reward_circuit import make_reward_circuit
@@ -33,6 +37,20 @@ DEFAULT_GAS_PRICE = 1
 DEFAULT_GAS_LIMIT = 20_000_000
 #: Gas allowance funded to each one-task account.
 DEFAULT_GAS_ALLOWANCE = 50_000_000
+
+
+def client_transaction(
+    nonce: int, to: Optional[bytes], data: bytes, value: int = 0
+) -> Transaction:
+    """A client transaction under the default gas policy."""
+    return Transaction(
+        nonce=nonce,
+        gas_price=DEFAULT_GAS_PRICE,
+        gas_limit=DEFAULT_GAS_LIMIT,
+        to=to,
+        value=value,
+        data=data,
+    )
 
 
 @dataclass
@@ -145,6 +163,26 @@ class ZebraLancerSystem:
         """
         self.testnet.fund(address, amount, near=near)
 
+    def transact(
+        self,
+        account: OneTaskAccount,
+        to: Optional[bytes],
+        data: bytes,
+        value: int = 0,
+    ) -> Receipt:
+        """Fund ``account`` next to ``to`` and send it one call there.
+
+        The gas allowance, then ``value`` when non-zero, arrive as two
+        faucet transfers before the call; the call goes out at the
+        account's chain nonce under :meth:`send_reliable`.  ``to=None``
+        deploys a contract.
+        """
+        self.fund_anonymous(account.address, near=to)
+        if value:
+            self.fund_anonymous(account.address, value, near=to)
+        tx = client_transaction(self.node.nonce_of(account.address), to, data, value)
+        return self.send_reliable(tx, account.keypair)
+
     def send_and_confirm(self, signed_tx) -> Receipt:
         """Confirm a pre-signed transaction (rebroadcast-only retries)."""
         return self.testnet.tx_sender.send_signed(signed_tx)
@@ -157,13 +195,8 @@ class ZebraLancerSystem:
     # ----- registry ------------------------------------------------------------------
 
     def _ra_transaction(self, to: Optional[bytes], data: bytes) -> Transaction:
-        return Transaction(
-            nonce=self.testnet.tx_sender.nonces.reserve(self._ra_key.address()),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=to,
-            value=0,
-            data=data,
+        return client_transaction(
+            self.testnet.tx_sender.nonces.reserve(self._ra_key.address()), to, data
         )
 
     def _deploy_registry(self) -> bytes:
@@ -225,6 +258,31 @@ class ZebraLancerSystem:
 
     def registry_commitment(self) -> int:
         return self.node.call(self.registry_address, "get_commitment")
+
+    # ----- attestations --------------------------------------------------------------
+
+    def credentials(self, keys: UserKeyPair) -> Tuple[Certificate, int]:
+        """What an attestation by ``keys`` proves against: the RA's
+        current certificate and the on-chain registry commitment."""
+        return self.current_certificate(keys.public_key), self.registry_commitment()
+
+    def attest(self, keys: UserKeyPair, message: bytes) -> Attestation:
+        """Anonymously authenticate ``message`` under ``keys``."""
+        return self.scheme.auth(message, keys, *self.credentials(keys))
+
+    def answer_calldata(
+        self,
+        keys: UserKeyPair,
+        task_address: bytes,
+        account_address: bytes,
+        ciphertext_wire: bytes,
+    ) -> bytes:
+        """``submit_answer`` calldata: the ciphertext C_i plus an
+        attestation of :func:`~repro.contracts.task.answer_message`."""
+        attestation = self.attest(
+            keys, answer_message(task_address, account_address, ciphertext_wire)
+        )
+        return encode_call("submit_answer", [ciphertext_wire, attestation.to_wire()])
 
     # ----- reward SNARK establishments ---------------------------------------------------
 

@@ -29,12 +29,7 @@ from repro.core.encryption import (
 )
 from repro.core.params import TaskParameters
 from repro.core.policy import Answer, RewardPolicy
-from repro.core.protocol import (
-    DEFAULT_GAS_LIMIT,
-    DEFAULT_GAS_PRICE,
-    TaskHandle,
-    ZebraLancerSystem,
-)
+from repro.core.protocol import TaskHandle, ZebraLancerSystem, client_transaction
 from repro.core.reward_circuit import (
     CiphertextEntry,
     build_reward_instance,
@@ -222,13 +217,8 @@ class Requester:
         # α_C is predictable before deployment (footnote 10), so the
         # requester authenticates α_C ‖ α_R ahead of time.
         predicted_address = contract_address(account.address, nonce=0)
-        certificate = system.current_certificate(self.keys.public_key)
-        commitment = system.registry_commitment()
-        attestation = system.scheme.auth(
-            task_prefix(predicted_address) + account.address,
-            self.keys,
-            certificate,
-            commitment,
+        attestation = system.attest(
+            self.keys, task_prefix(predicted_address) + account.address
         )
 
         circuit, reward_keys = system.reward_material(policy, num_answers)
@@ -257,21 +247,13 @@ class Requester:
                 reward_keys.verifying_key,
             ],
         )
-        tx = Transaction(
-            nonce=0,
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=None,
-            value=budget,
-            data=data,
-        )
         return PreparedPublish(
             account=account,
             encryption_keys=encryption_keys,
             params=params,
             policy=policy,
             predicted_address=predicted_address,
-            transaction=tx,
+            transaction=client_transaction(0, None, data, budget),
             budget=budget,
         )
 
@@ -419,21 +401,11 @@ class Requester:
 
     def reward_transaction(self, job: RewardJob, proof) -> Transaction:
         """The proved instruction transaction for a staged reward job."""
-        record = self._record(job.handle)
-        data = encode_call(
+        return self._task_transaction(
+            job.handle,
             "submit_reward_instruction",
             [list(job.instance.rewards), job.flags, proof.backend, proof.payload],
         )
-        tx = Transaction(
-            nonce=record.nonce,
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=job.handle.address,
-            value=0,
-            data=data,
-        )
-        record.nonce += 1
-        return tx
 
     def finalize_timeout_transaction(self, handle: TaskHandle) -> Transaction:
         """A ``finalize_timeout`` call from the task's own account.
@@ -443,17 +415,7 @@ class Requester:
         instruction to prove, and the contract refunds the full budget
         to the requester's one-task address.
         """
-        record = self._record(handle)
-        tx = Transaction(
-            nonce=record.nonce,
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=handle.address,
-            value=0,
-            data=encode_call("finalize_timeout", []),
-        )
-        record.nonce += 1
-        return tx
+        return self._task_transaction(handle, "finalize_timeout", [])
 
     def finalize_timeout(self, handle: TaskHandle) -> Receipt:
         """Send :meth:`finalize_timeout_transaction` reliably (serial path)."""
@@ -469,6 +431,17 @@ class Requester:
         """The next unreserved nonce of a task's account (checkpoints)."""
         return self._record(handle).nonce
 
+    def _task_transaction(
+        self, handle: TaskHandle, method: str, args: List[Any]
+    ) -> Transaction:
+        """A call from the task's account at its next local nonce."""
+        record = self._record(handle)
+        tx = client_transaction(
+            record.nonce, handle.address, encode_call(method, args)
+        )
+        record.nonce += 1
+        return tx
+
     def _record(self, handle: TaskHandle) -> _TaskRecord:
         record = self._tasks.get(handle.address)
         if record is None:
@@ -481,28 +454,6 @@ class Requester:
         """This requester's one-board account (listings originate here)."""
         return derive_one_task_account(self._seed, f"board:{board_address.hex()}")
 
-    def _board_transaction(
-        self,
-        board_address: bytes,
-        method: str,
-        args: List[Any],
-        value: int = 0,
-    ) -> Receipt:
-        system = self.system
-        account = self.board_account(board_address)
-        system.fund_anonymous(account.address, near=board_address)
-        if value:
-            system.fund_anonymous(account.address, value, near=board_address)
-        tx = Transaction(
-            nonce=system.node.nonce_of(account.address),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=board_address,
-            value=value,
-            data=encode_call(method, args),
-        )
-        return system.send_reliable(tx, account.keypair)
-
     def post_listing(
         self,
         board_address: bytes,
@@ -513,11 +464,14 @@ class Requester:
         validator_reward: int,
     ) -> int:
         """Open a listing on the board, escrowing bonus + validator fee."""
-        receipt = self._board_transaction(
+        receipt = self.system.transact(
+            self.board_account(board_address),
             board_address,
-            "post_task",
-            [description, num_workers, budget, quality_bonus, validator_reward],
-            value=quality_bonus + validator_reward,
+            encode_call(
+                "post_task",
+                [description, num_workers, budget, quality_bonus, validator_reward],
+            ),
+            quality_bonus + validator_reward,
         )
         if not receipt.success:
             raise ProtocolError(f"listing rejected: {receipt.error}")
@@ -529,8 +483,10 @@ class Requester:
 
     def match_listing(self, board_address: bytes, listing_id: int) -> List[int]:
         """Trigger matching once bidding closed (anyone may; we do)."""
-        receipt = self._board_transaction(
-            board_address, "match_workers", [listing_id]
+        receipt = self.system.transact(
+            self.board_account(board_address),
+            board_address,
+            encode_call("match_workers", [listing_id]),
         )
         if not receipt.success:
             raise ProtocolError(f"matching failed: {receipt.error}")
@@ -541,8 +497,10 @@ class Requester:
         self, board_address: bytes, listing_id: int, task_address: bytes
     ) -> Receipt:
         """Bind the listing to this requester's deployed task contract."""
-        receipt = self._board_transaction(
-            board_address, "attach_task", [listing_id, task_address]
+        receipt = self.system.transact(
+            self.board_account(board_address),
+            board_address,
+            encode_call("attach_task", [listing_id, task_address]),
         )
         if not receipt.success:
             raise ProtocolError(f"attach failed: {receipt.error}")
@@ -551,8 +509,11 @@ class Requester:
     def open_dispute(self, board_address: bytes, listing_id: int) -> Receipt:
         """Contest the delivered quality, posting the board's dispute bond."""
         bond = self.system.node.call(board_address, "get_config")["dispute_bond"]
-        receipt = self._board_transaction(
-            board_address, "open_dispute", [listing_id], value=bond
+        receipt = self.system.transact(
+            self.board_account(board_address),
+            board_address,
+            encode_call("open_dispute", [listing_id]),
+            bond,
         )
         if receipt.success:
             obs.count("market.client.disputes")
@@ -560,4 +521,8 @@ class Requester:
 
     def settle_listing(self, board_address: bytes, listing_id: int) -> Receipt:
         """Settle an undisputed listing after the claim window closes."""
-        return self._board_transaction(board_address, "settle", [listing_id])
+        return self.system.transact(
+            self.board_account(board_address),
+            board_address,
+            encode_call("settle", [listing_id]),
+        )

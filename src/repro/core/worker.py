@@ -21,12 +21,7 @@ from repro.chain.transaction import Transaction, encode_call
 from repro.core.anonymity import OneTaskAccount, derive_one_task_account
 from repro.core.encryption import encrypt_answer
 from repro.core.params import TaskParameters
-from repro.core.protocol import (
-    DEFAULT_GAS_LIMIT,
-    DEFAULT_GAS_PRICE,
-    TaskHandle,
-    ZebraLancerSystem,
-)
+from repro.core.protocol import TaskHandle, ZebraLancerSystem, client_transaction
 from repro.serialization import decode
 from repro.anonauth.scheme import task_prefix
 
@@ -181,23 +176,11 @@ class Worker:
             )
         )
         ciphertext = encrypt_answer(epk, list(answer_fields), system.mimc, rng)
-        ciphertext_wire = ciphertext.to_wire()
-
-        certificate = system.current_certificate(self.keys.public_key)
-        commitment = system.registry_commitment()
-        message = task_prefix(task_address) + account.address + ciphertext_wire
-        attestation = system.scheme.auth(message, self.keys, certificate, commitment)
-
-        data = encode_call(
-            "submit_answer", [ciphertext_wire, attestation.to_wire()]
+        data = system.answer_calldata(
+            self.keys, task_address, account.address, ciphertext.to_wire()
         )
-        tx = Transaction(
-            nonce=system.node.nonce_of(account.address),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=task_address,
-            value=0,
-            data=data,
+        tx = client_transaction(
+            system.node.nonce_of(account.address), task_address, data
         )
         return PreparedSubmission(
             task_address=task_address, account=account, transaction=tx
@@ -256,25 +239,15 @@ class Worker:
 
         system = self.system
         account = self.board_account(board_address)
-        certificate = system.current_certificate(self.keys.public_key)
-        commitment = system.registry_commitment()
-        message = bid_message(board_address, account.address, listing_id, stake)
-        attestation = system.scheme.auth(
-            message, self.keys, certificate, commitment
+        attestation = system.attest(
+            self.keys, bid_message(board_address, account.address, listing_id, stake)
         )
-        system.fund_anonymous(account.address, near=board_address)
-        system.fund_anonymous(account.address, stake, near=board_address)
-        tx = Transaction(
-            nonce=system.node.nonce_of(account.address),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=board_address,
-            value=stake,
-            data=encode_call(
-                "place_bid", [listing_id, stake, attestation.to_wire()]
-            ),
+        receipt = system.transact(
+            account,
+            board_address,
+            encode_call("place_bid", [listing_id, stake, attestation.to_wire()]),
+            stake,
         )
-        receipt = system.send_reliable(tx, account.keypair)
         obs.count("market.client.bids")
         return receipt
 
@@ -304,28 +277,19 @@ class Worker:
         system = self.system
         if answer_index is None:
             answer_index = self.find_submission_index(task_address)
-        account = self.board_account(board_address)
-        certificate = system.current_certificate(self.keys.public_key)
-        commitment = system.registry_commitment()
         attestation = system.scheme.auth_tag_link(
             task_prefix(board_address),
             task_prefix(task_address),
             self.keys,
-            certificate,
-            commitment,
+            *system.credentials(self.keys),
         )
-        system.fund_anonymous(account.address, near=board_address)
-        tx = Transaction(
-            nonce=system.node.nonce_of(account.address),
-            gas_price=DEFAULT_GAS_PRICE,
-            gas_limit=DEFAULT_GAS_LIMIT,
-            to=board_address,
-            value=0,
-            data=encode_call(
+        receipt = system.transact(
+            self.board_account(board_address),
+            board_address,
+            encode_call(
                 "report_work", [listing_id, answer_index, attestation.to_wire()]
             ),
         )
-        receipt = system.send_reliable(tx, account.keypair)
         obs.count("market.client.claims")
         return receipt
 

@@ -188,11 +188,6 @@ def _msm_task(task):
     return g1_msm(points, scalars)
 
 
-# Shared with the mock backend; re-exported here for back-compat.
-_ProveJob = BatchProveJob
-_fanout_map = fanout_map
-
-
 class Groth16Backend(ProvingBackend):
     """The real pairing-based backend.
 
@@ -276,12 +271,12 @@ class Groth16Backend(ProvingBackend):
 
             def batch_g1(scalars: List[int]) -> List[G1Point]:
                 if jobs > 1 and len(scalars) >= 64:
-                    return _fanout_map(_g1_generator_chunk, scalars, jobs, chunked=True)
+                    return fanout_map(_g1_generator_chunk, scalars, jobs, chunked=True)
                 return [g1_table.mul(s) for s in scalars]
 
             def batch_g2(scalars: List[int]) -> List[G2Point]:
                 if jobs > 1 and len(scalars) >= 64:
-                    return _fanout_map(_g2_generator_chunk, scalars, jobs, chunked=True)
+                    return fanout_map(_g2_generator_chunk, scalars, jobs, chunked=True)
                 return [g2_table.mul(s) for s in scalars]
 
         else:
@@ -360,8 +355,8 @@ class Groth16Backend(ProvingBackend):
             "snark.prove_many", backend=self.name, jobs=len(requests)
         ):
             child = Groth16Backend(optimized=self._optimized, jobs=1)
-            proofs = _fanout_map(
-                _ProveJob(child), list(requests), self._jobs, chunked=False
+            proofs = fanout_map(
+                BatchProveJob(child), list(requests), self._jobs, chunked=False
             )
         obs.count("snark.prove_many.calls")
         obs.count("snark.prove_many.jobs", len(requests))
@@ -417,7 +412,7 @@ class Groth16Backend(ProvingBackend):
                 ("g1", proving_key.k_query, aux_values),
                 ("g1", proving_key.h_query[: len(h_coeffs)], h_coeffs),
             ]
-            a_acc, b1_acc, b2_acc, k_acc, h_acc = _fanout_map(
+            a_acc, b1_acc, b2_acc, k_acc, h_acc = fanout_map(
                 _msm_task, tasks, self._jobs, chunked=False
             )
         else:

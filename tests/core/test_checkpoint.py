@@ -10,6 +10,7 @@ exactly once.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from repro.core.checkpoint import (
 from repro.core.engine import (
     ProtocolEngine,
     SimulatedEngineCrash,
+    TaskSpec,
     engine_system,
     make_uniform_specs,
 )
@@ -169,6 +171,41 @@ def test_crash_restart_converges_at_every_phase_boundary(
 
     # The sweep must genuinely exercise distinct phase boundaries.
     assert len(phases_crashed_in) >= 6, phases_crashed_in
+
+
+def test_resume_rebuilds_every_task_spec_field() -> None:
+    """checkpoint -> resume keeps every TaskSpec field; only the live
+    client objects are rebuilt, from their identities."""
+    system, specs = _fresh(2)
+    specs[0] = dataclasses.replace(
+        specs[0], description="kept", budget=1_300, answer_window=40,
+        instruction_window=41, rsa_bits=512, audit=True,
+        requester_mode="stonewall", equivocators=[0], colocate=b"\x55" * 20,
+    )
+
+    def crash_hook(engine, rounds):
+        if rounds == 1:
+            raise SimulatedEngineCrash("killed at round 1")
+
+    store = CheckpointStore()
+    engine = ProtocolEngine(
+        system, specs,
+        checkpoint_store=store, checkpoint_every=1, crash_hook=crash_hook,
+    )
+    with pytest.raises(SimulatedEngineCrash):
+        engine.run()
+    resumed = ProtocolEngine.resume(system, store.latest())
+
+    clients = {"requester", "workers", "policy"}
+    for spec, rebuilt in zip(specs, resumed.specs):
+        assert rebuilt.requester.identity == spec.requester.identity
+        assert [w.identity for w in rebuilt.workers] == [
+            w.identity for w in spec.workers
+        ]
+        assert rebuilt.policy.describe() == spec.policy.describe()
+        for f in dataclasses.fields(TaskSpec):
+            if f.name not in clients:
+                assert getattr(rebuilt, f.name) == getattr(spec, f.name), f.name
 
 
 def test_resume_rejects_checkpoint_from_the_future() -> None:

@@ -104,3 +104,56 @@ def test_submit_answer_accepts_raw_address(zebra_system) -> None:
     task = requester.publish_task(POLICY, "t", num_answers=1, budget=100)
     record = worker.submit_answer(task.address, [0])  # bytes, not handle
     assert record.receipt.success
+
+
+def test_transact_funds_then_calls_on_the_target_shard() -> None:
+    """On a 2-shard chain the caller lands on the contract's shard, and
+    the gas transfer, then the value transfer, precede each call, which
+    goes out at the account's chain nonce."""
+    from repro.chain.transaction import encode_call
+    from repro.core.anonymity import derive_one_task_account
+    from repro.core.engine import engine_system
+    from repro.core.market import Arbiter, board_config, deploy_marketplace
+    from repro.core.protocol import DEFAULT_GAS_ALLOWANCE
+
+    system = engine_system(1, 1, shards=2, seed=b"transact-on-shards")
+    chain = system.testnet
+    board = deploy_marketplace(system, Arbiter(system).address, board_config())
+    home = chain.shard_of(board)
+    # A caller whose own home shard is the other one.
+    account = next(
+        a
+        for a in (derive_one_task_account(b"caller", f"c{i}") for i in range(64))
+        if chain.shard_of(a.address) != home
+    )
+    escrow = 30 + 5
+    for listing in range(2):
+        receipt = system.transact(
+            account,
+            board,
+            encode_call("post_task", [f"listing {listing}", 2, 600, 30, 5]),
+            escrow,
+        )
+        assert receipt.success, receipt.error
+    assert chain.shard_of(account.address) == home
+
+    def touching(shard: int):
+        node = chain.shard(shard).any_node
+        return [
+            stx
+            for block in node.canonical_blocks(1, node.height)
+            for stx in block.transactions
+            if account.address in (stx.sender, stx.transaction.to)
+        ]
+
+    assert touching(1 - home) == []
+    steps = [
+        ("fund", stx.transaction.value)
+        if stx.transaction.to == account.address
+        else ("call", stx.transaction.nonce, stx.transaction.value)
+        for stx in touching(home)
+    ]
+    assert steps == [
+        ("fund", DEFAULT_GAS_ALLOWANCE), ("fund", escrow), ("call", 0, escrow),
+        ("fund", DEFAULT_GAS_ALLOWANCE), ("fund", escrow), ("call", 1, escrow),
+    ]
