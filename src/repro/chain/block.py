@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List
 
-from repro.crypto.hashing import keccak256
+from repro.crypto.hashing import sha256
 from repro.errors import InvalidBlockError
 from repro.serialization import decode, encode
 from repro.chain.transaction import SignedTransaction
@@ -31,7 +31,8 @@ class BlockHeader:
     receipts_root: bytes = b""  # Merkle root over receipt encodings
 
     def hash_without_seal(self) -> bytes:
-        return keccak256(
+        return sha256(
+            b"zl-header",
             encode(
                 [
                     self.number,
@@ -45,11 +46,11 @@ class BlockHeader:
                     self.gas_limit,
                     self.extra,
                 ]
-            )
+            ),
         )
 
     def block_hash(self) -> bytes:
-        return keccak256(self.hash_without_seal() + self.seal)
+        return sha256(b"zl-block", self.hash_without_seal(), self.seal)
 
     def to_wire(self) -> bytes:
         """Canonical gossip encoding of the header (seal included)."""

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro import observability as obs
 from repro.crypto import ecdsa
-from repro.crypto.hashing import keccak256
+from repro.crypto.hashing import sha256
 from repro.errors import InvalidBlockError, SignatureError
 from repro.chain.block import BlockHeader
 
@@ -99,12 +99,12 @@ class SimulatedPoWEngine(ConsensusEngine):
         nonce = 0
         while True:
             seal = nonce.to_bytes(8, "big")
-            if int.from_bytes(keccak256(base + seal), "big") < self._target:
+            if int.from_bytes(sha256(b"zl-pow-seal", base, seal), "big") < self._target:
                 return seal
             nonce += 1
 
     def validate_seal(self, header: BlockHeader) -> None:
-        digest = keccak256(header.hash_without_seal() + header.seal)
+        digest = sha256(b"zl-pow-seal", header.hash_without_seal(), header.seal)
         if int.from_bytes(digest, "big") >= self._target:
             obs.count("consensus.seal_rejections")
             raise InvalidBlockError("PoW seal does not meet the target")

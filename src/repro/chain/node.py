@@ -16,7 +16,7 @@ dropping them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import observability as obs
@@ -256,7 +256,7 @@ class Node:
                 gas_limit=self.genesis.gas_limit,
             )
             seal = self.engine.seal(header, self.keypair)
-            sealed = BlockHeader(**{**header.__dict__, "seal": seal})
+            sealed = replace(header, seal=seal)
             block = Block(header=sealed, transactions=tuple(included))
             mine_span.set_attrs(
                 txs=len(included), gas_used=gas_used,

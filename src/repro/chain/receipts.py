@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import keccak256
+from repro.crypto.hashing import sha256
 from repro.serialization import encode
 from repro.chain.txtrie import branch_root, merkle_branch, merkle_root
 
@@ -23,7 +23,7 @@ STATUS_REVERTED = 0
 
 #: Leaf domain separator for the receipts trie (tx trie uses b"\x00").
 RECEIPT_LEAF_PREFIX = b"\x02"
-EMPTY_RECEIPTS_ROOT = keccak256(b"empty-receipt-trie")
+EMPTY_RECEIPTS_ROOT = sha256(b"zl-empty-receipt-trie")
 
 
 @dataclass(frozen=True)

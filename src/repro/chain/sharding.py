@@ -219,6 +219,21 @@ class ShardAnchor:
     def signing_digest(self) -> bytes:
         return sha256(b"zl-shard-anchor", self.to_wire())
 
+    def signed_by(self, beacon_key: Tuple[int, int], signature: bytes) -> bool:
+        """True when ``signature`` is the beacon's low-s seal on this anchor.
+
+        High-s signatures are refused (EIP-2), as for PoA seals: the
+        (r, N - s, v ^ 1) twin of an honest signature also verifies, and
+        would give the same round a second beacon hash.
+        """
+        try:
+            sig = ecdsa.ECDSASignature.from_bytes(bytes(signature))
+        except (SignatureError, ValueError, TypeError):
+            return False
+        return sig.s <= ecdsa.HALF_N and ecdsa.signed_by(
+            beacon_key, self.signing_digest(), sig
+        )
+
     @classmethod
     def of_block(cls, shard: int, block: Block) -> "ShardAnchor":
         return cls(
@@ -344,7 +359,7 @@ class ShardInbox(Contract):
     """Destination-shard half: verify, apply exactly once, re-mint.
 
     Pre-installed at :data:`INBOX_ADDRESS` with storage
-    ``{"shard": k, "shards": S, "beacon": <beacon address>}``.
+    ``{"shard": k, "shards": S, "beacon_key": <beacon public key>}``.
     """
 
     contract_name = "ShardInbox"
@@ -367,14 +382,10 @@ class ShardInbox(Contract):
             raise  # unreachable; keeps type checkers honest
 
         # 1. The anchor must be signed by the beacon authority.
-        try:
-            signer = ecdsa.recover_address(
-                anchor.signing_digest(),
-                ecdsa.ECDSASignature.from_bytes(bytes(anchor_signature)),
-            )
-        except (SignatureError, ValueError, TypeError):
-            signer = None
-        self.require(signer == self.storage["beacon"], "anchor not signed by the beacon")
+        self.require(
+            anchor.signed_by(self.storage["beacon_key"], anchor_signature),
+            "anchor not signed by the beacon",
+        )
 
         # 2. The message must target this shard and match the anchor.
         self.require(
@@ -453,14 +464,14 @@ class ShardInbox(Contract):
 
 
 def bridge_genesis_contracts(
-    shard: int, shards: int, beacon_address: bytes
+    shard: int, shards: int, beacon_key: Tuple[int, int]
 ) -> Dict[bytes, Tuple[str, Dict[str, Any]]]:
     """The genesis pre-install map for one shard's bridge contracts."""
     return {
         OUTBOX_ADDRESS: ("ShardOutbox", {"shard": shard, "shards": shards}),
         INBOX_ADDRESS: (
             "ShardInbox",
-            {"shard": shard, "shards": shards, "beacon": beacon_address},
+            {"shard": shard, "shards": shards, "beacon_key": beacon_key},
         ),
     }
 
@@ -508,15 +519,15 @@ class Beacon:
 class BeaconLightClient:
     """A header-only consumer of the beacon stream.
 
-    Trusts nothing but the beacon authority's address: every imported
-    beacon block must extend the hash chain and every anchor signature
-    must recover to that address.  ``verify_shard_receipt`` then checks
+    Trusts nothing but the beacon authority's public key: every imported
+    beacon block must extend the hash chain and every anchor must carry
+    that key's low-s signature.  ``verify_shard_receipt`` then checks
     a receipt proof against the anchored receipts root — the one-view
     light-client path across all shards.
     """
 
-    def __init__(self, beacon_address: bytes) -> None:
-        self.beacon_address = beacon_address
+    def __init__(self, beacon_key: Tuple[int, int]) -> None:
+        self.beacon_key = beacon_key
         self._blocks: List[BeaconBlock] = []
         #: (shard, number) -> receipts_root of the verified anchor.
         self._anchored: Dict[Tuple[int, int], bytes] = {}
@@ -536,14 +547,7 @@ class BeaconLightClient:
             anchor = ShardAnchor.from_wire(anchor_wire)
             if anchor.shard != shard:
                 raise ChainError("anchor order does not match shard order")
-            try:
-                signer = ecdsa.recover_address(
-                    anchor.signing_digest(),
-                    ecdsa.ECDSASignature.from_bytes(signature),
-                )
-            except (SignatureError, ValueError):
-                raise ChainError("unrecoverable anchor signature") from None
-            if signer != self.beacon_address:
+            if not anchor.signed_by(self.beacon_key, signature):
                 raise ChainError("anchor not signed by the beacon authority")
         self._blocks.append(block)
         for anchor_wire, _ in block.anchors:
@@ -745,7 +749,7 @@ class ShardedChain:
             if shards > 1:
                 extra = {self.relayer_key.address(): 10**24}
                 contracts = bridge_genesis_contracts(
-                    k, shards, self.beacon_key.address()
+                    k, shards, self.beacon_key.public_key
                 )
             self.shard_testnets.append(
                 Testnet(

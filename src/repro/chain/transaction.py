@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Any, List, Optional, Tuple
 
 from repro.crypto import ecdsa
-from repro.crypto.hashing import keccak256
+from repro.crypto.hashing import keccak256, sha256
 from repro.errors import InvalidTransactionError
 from repro.serialization import encode
 from repro.chain.address import ADDRESS_LENGTH
@@ -107,7 +107,8 @@ class SignedTransaction:
 
     @cached_property
     def tx_hash(self) -> bytes:
-        return keccak256(
+        return sha256(
+            b"zl-tx-hash",
             encode(
                 [
                     self.transaction.signing_hash(),
@@ -115,7 +116,7 @@ class SignedTransaction:
                     self.signature.s,
                     self.signature.v,
                 ]
-            )
+            ),
         )
 
     def verify_signature(self) -> bool:

@@ -19,19 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.crypto.hashing import keccak256
+from repro.crypto.hashing import sha256
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
-_EMPTY_ROOT = keccak256(b"empty-tx-trie")
+_EMPTY_ROOT = sha256(b"zl-empty-tx-trie")
 
 
 def _leaf(payload: bytes, prefix: bytes = _LEAF_PREFIX) -> bytes:
-    return keccak256(prefix, payload)
+    return sha256(b"zl-trie-leaf", prefix, payload)
 
 
 def _node(left: bytes, right: bytes) -> bytes:
-    return keccak256(_NODE_PREFIX, left, right)
+    return sha256(b"zl-trie-node", _NODE_PREFIX, left, right)
 
 
 def merkle_root(

@@ -1,8 +1,14 @@
 """Hash-function front ends used across the library.
 
-SHA-256 is the paper's DApp-layer hash; Keccak-256 backs Ethereum-style
-addresses in the chain substrate.  ``hash_to_field`` maps arbitrary
-bytes into the BN128 scalar field for circuit public inputs.
+SHA-256 is the paper's DApp-layer hash, and also backs every chain
+commitment that nothing outside this chain re-derives: the tx and
+receipt tries, header and block hashes, tx hashes, the simulated-PoW
+seal, state roots and the shard bridge's anchors.  Each such use is
+``sha256(tag, *parts)`` with its own domain tag, no tag a prefix of
+another.  Keccak-256 is kept where Ethereum semantics bind: addresses,
+contract addresses and transaction signing hashes.  ``hash_to_int``
+maps arbitrary bytes to an integer below a modulus (circuit public
+inputs).
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Ethereum addresses are the low 20 bytes of Keccak-256 of the public key,
 so the chain substrate needs the *original* Keccak padding (0x01), not
 the FIPS-202 SHA-3 padding (0x06).  This module implements the sponge
 from first principles; it is validated against known Ethereum test
-vectors in the test suite.
+vectors in the test suite.  It backs only what Ethereum semantics bind:
+addresses, contract addresses and transaction signing hashes (plus
+shard assignment).  Trie nodes, header, block and tx hashes use the
+stdlib SHA-256 (:mod:`repro.crypto.hashing`).
 """
 
 from __future__ import annotations

@@ -431,6 +431,53 @@ def test_forged_anchor_signature_is_rejected() -> None:
     assert_shard_conservation(chain)
 
 
+def _high_s_twin(signature: bytes) -> bytes:
+    """The (r, N - s, v ^ 1) twin: same signer, different bytes."""
+    sig = ecdsa.ECDSASignature.from_bytes(signature)
+    return ecdsa.ECDSASignature(r=sig.r, s=ecdsa.N - sig.s, v=sig.v ^ 1).to_bytes()
+
+
+def test_high_s_twin_anchor_signature_is_rejected() -> None:
+    """An undelivered send proven under the twin of the beacon's honest
+    anchor signature fails at the signature check; the honest signature
+    then delivers it."""
+    chain = ShardedChain(shards=2, miners=1, full_nodes=1)
+    (source, sender), (dest, recipient_key) = _cross_shard_pair(chain)
+    stx = chain.transfer_transaction(
+        sender.address(), 0, recipient_key.address(), 777
+    ).sign(sender)
+    chain.send_transaction(stx)
+    chain.shard_testnets[source].mine_block()  # no beacon round, no relay
+    node = chain.shard_testnets[source].any_node
+    send_receipt = node.get_receipt(stx.tx_hash)
+    assert send_receipt is not None and send_receipt.success
+    wire = next(
+        log.fields["wire"]
+        for log in send_receipt.logs
+        if log.event == XSHARD_SEND_EVENT
+    )
+    block = node.block_by_number(send_receipt.block_number)
+    receipts = list(node.receipts_for_block(block.block_hash))
+    proof = prove_receipt_inclusion(receipts, receipts.index(send_receipt))
+    anchor = ShardAnchor.of_block(source, block)
+    signature = chain.beacon.sign_anchor(anchor)
+    twin = _high_s_twin(signature)
+    assert ecdsa.recover_address(
+        anchor.signing_digest(), ecdsa.ECDSASignature.from_bytes(twin)
+    ) == chain.beacon_key.address()
+    before = chain.any_node.balance_of(recipient_key.address())
+
+    receipt = _deliver_as_attacker(chain, dest, anchor, twin, proof, wire)
+    assert not receipt.success
+    assert "beacon" in receipt.error
+    assert chain.any_node.balance_of(recipient_key.address()) == before
+
+    receipt = _deliver_as_attacker(chain, dest, anchor, signature, proof, wire)
+    assert receipt.success, receipt.error
+    assert chain.any_node.balance_of(recipient_key.address()) == before + 777
+    assert_shard_conservation(chain)
+
+
 def test_tampered_receipt_proof_is_rejected() -> None:
     chain = ShardedChain(shards=2, miners=1, full_nodes=1)
     message, anchor, signature, proof, _, _ = _delivered_send(chain)
@@ -532,7 +579,7 @@ def test_outbox_requires_value_and_foreign_destination() -> None:
 def test_beacon_light_client_verifies_anchored_receipts() -> None:
     chain = ShardedChain(shards=2, miners=1, full_nodes=1)
     message, anchor, _, proof, _, _ = _delivered_send(chain)
-    client = BeaconLightClient(chain.beacon_key.address())
+    client = BeaconLightClient(chain.beacon_key.public_key)
     for block in chain.beacon.blocks:
         client.import_beacon_block(block.to_wire())
     assert client.height == len(chain.beacon.blocks)
@@ -550,7 +597,7 @@ def test_beacon_light_client_verifies_anchored_receipts() -> None:
 def test_beacon_light_client_rejects_forks_and_forgeries() -> None:
     chain = ShardedChain(shards=2, miners=1, full_nodes=1)
     chain.mine_blocks(2)
-    client = BeaconLightClient(chain.beacon_key.address())
+    client = BeaconLightClient(chain.beacon_key.public_key)
     blocks = chain.beacon.blocks
     client.import_beacon_block(blocks[0].to_wire())
     with pytest.raises(ChainError):
@@ -564,6 +611,24 @@ def test_beacon_light_client_rejects_forks_and_forgeries() -> None:
     )
     with pytest.raises(ChainError):
         client.import_beacon_block(forged_next.to_wire())
+
+
+def test_beacon_light_client_rejects_high_s_twin_anchor() -> None:
+    chain = ShardedChain(shards=2, miners=1, full_nodes=1)
+    chain.mine_blocks(2)
+    client = BeaconLightClient(chain.beacon_key.public_key)
+    first, second = chain.beacon.blocks[:2]
+    client.import_beacon_block(first.to_wire())
+    (wire, signature), *rest = second.anchors
+    twinned = type(second)(
+        number=second.number,
+        parent=second.parent,
+        anchors=((wire, _high_s_twin(signature)), *rest),
+    )
+    with pytest.raises(ChainError):
+        client.import_beacon_block(twinned.to_wire())
+    client.import_beacon_block(second.to_wire())
+    assert client.height == 2
 
 
 # ----- chaos interaction --------------------------------------------------------------
