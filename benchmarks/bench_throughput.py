@@ -33,20 +33,14 @@ import json
 import os
 import pathlib
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import pytest
 
-import repro.contracts  # noqa: F401  (registers KVStore for the parallel workload)
 from repro import observability as obs
 from repro.crypto import ecdsa
 from repro.crypto.hashing import keccak256
-from repro.chain.contract import BlockContext
-from repro.chain.parallel import execute_block
-from repro.chain.receipts import encode_receipt
-from repro.chain.state import WorldState
-from repro.chain.transaction import SignedTransaction, Transaction, encode_call
-from repro.chain.vm import VM
+from repro.chain.transaction import Transaction
 from repro.core.engine import (
     COLLECTING,
     FUNDING,
@@ -227,154 +221,6 @@ def write_record(record: Dict[str, Any], key: Optional[str] = None) -> None:
     _BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-# ----- optimistic parallel block execution -------------------------------------------
-
-_PX_COINBASE = b"\x7d" * 20
-_PX_FUNDING = 10**15
-_PX_CONTRACT_COUNT = 8
-
-
-def _px_contract(index: int) -> bytes:
-    return b"\x61" + index.to_bytes(19, "big")
-
-
-def _parallel_workload(
-    n_txs: int, contended: bool
-) -> Tuple[List[bytes], List[bytes], List[bytes]]:
-    """One block of ``n_txs`` single-nonce transactions, as wire bytes.
-
-    Wire bytes, not signed objects: ``SignedTransaction`` caches the
-    recovered sender, so a fair measurement must rebuild the
-    transactions per run and let each lane pay its own ECDSA recovery.
-
-    Independent shape: distinct senders alternate plain transfers and
-    ``KVStore.put`` calls across 8 contract accounts; with round-robin
-    lane assignment at any power-of-two lane count, no two lanes share
-    a contract, so every transaction commits speculatively.  Contended
-    shape: every other transaction instead ``bump``s one shared slot of
-    one shared contract, forcing cross-lane conflicts and re-execution.
-    """
-    senders = [ecdsa.ECDSAKeyPair.from_seed(b"bench-px-%d" % i) for i in range(n_txs)]
-    contracts = [_px_contract(i) for i in range(_PX_CONTRACT_COUNT)]
-    wires: List[bytes] = []
-    for i, keypair in enumerate(senders):
-        if i % 2 == 0:
-            tx = Transaction(
-                nonce=0, gas_price=2, gas_limit=30_000,
-                to=bytes([0x51]) + i.to_bytes(19, "big"), value=100 + i,
-            )
-        elif contended:
-            tx = Transaction(
-                nonce=0, gas_price=2, gas_limit=400_000, to=contracts[0],
-                value=0, data=encode_call("bump", ["hot"]),
-            )
-        else:
-            tx = Transaction(
-                nonce=0, gas_price=2, gas_limit=400_000,
-                to=contracts[i % _PX_CONTRACT_COUNT],
-                value=0, data=encode_call("put", [f"slot-{i}", i]),
-            )
-        wires.append(tx.sign(keypair).to_wire())
-    return wires, [keypair.address() for keypair in senders], contracts
-
-
-def _px_state(sender_addresses: Sequence[bytes], contracts: Sequence[bytes]) -> WorldState:
-    state = WorldState()
-    for address in sender_addresses:
-        state.credit(address, _PX_FUNDING)
-    for address in contracts:
-        state.account(address).contract_name = "KVStore"
-    return state
-
-
-def measure_parallel_block_execution(
-    n_txs: int = 32,
-    lane_counts: Sequence[int] = (1, 2, 4, 8),
-    repeats: int = 3,
-    contended: bool = False,
-) -> Dict[str, Any]:
-    """Execute one block at each lane count; best-of-``repeats`` each.
-
-    Asserts along the way that every lane count commits a byte-identical
-    block (state root, receipt encodings, gas) — a lane count that
-    changed the outcome would invalidate the whole measurement.
-
-    Two timings per lane count, both recorded:
-
-    - ``wall_seconds``: measured in-process wall time.  On a single-core
-      host (this container reports ``os.cpu_count() == 1``) lanes share
-      the core, so this cannot beat serial and honestly shows the
-      scheduling overhead instead.
-    - ``critical_path_seconds``: measured inside the scheduler as
-      ``max(per-lane speculation time) + commit-pass time`` — the block
-      time a host with one core per lane would observe.  The speedup
-      gate asserts on this modeled number.
-    """
-    wires, sender_addresses, contracts = _parallel_workload(n_txs, contended)
-    vm = VM()
-    block_ctx = BlockContext(
-        number=1, timestamp=1_500_000_015, coinbase=_PX_COINBASE
-    )
-    baseline: Optional[Tuple[bytes, Tuple[bytes, ...], int]] = None
-    serial_best: Optional[float] = None
-    lanes_out: Dict[str, Any] = {}
-    for lanes in lane_counts:
-        walls: List[float] = []
-        criticals: List[float] = []
-        stats_dict: Dict[str, Any] = {}
-        for _ in range(max(1, repeats)):
-            txs = [SignedTransaction.from_wire(wire) for wire in wires]
-            state = _px_state(sender_addresses, contracts)
-            assignment = (
-                [i % lanes for i in range(len(txs))] if lanes > 1 else None
-            )
-            started = time.perf_counter()
-            execution = execute_block(
-                vm, state, txs, block_ctx,
-                lanes=lanes, workers=1, mode="verify", assignment=assignment,
-            )
-            walls.append(time.perf_counter() - started)
-            criticals.append(execution.stats.critical_path_seconds)
-            stats_dict = execution.stats.as_dict()
-            fingerprint = (
-                state.state_root(),
-                tuple(encode_receipt(receipt) for receipt in execution.receipts),
-                execution.gas_used,
-            )
-            if baseline is None:
-                baseline = fingerprint
-            elif fingerprint != baseline:
-                raise AssertionError(
-                    f"lane count {lanes} changed the committed block — "
-                    "serial equivalence is broken"
-                )
-        entry: Dict[str, Any] = {
-            "wall_seconds": round(min(walls), 4),
-            "stats": stats_dict,
-        }
-        if lanes == 1:
-            serial_best = min(walls)
-        else:
-            assert serial_best is not None, "lane_counts must start at 1"
-            best_critical = min(criticals)
-            entry["critical_path_seconds"] = round(best_critical, 4)
-            entry["speedup_wall"] = round(serial_best / min(walls), 4)
-            entry["speedup_modeled"] = round(serial_best / best_critical, 4)
-        lanes_out[str(lanes)] = entry
-    return {
-        "workload": "contended" if contended else "independent",
-        "transactions": n_txs,
-        "repeats": repeats,
-        "serial_seconds": round(serial_best, 4),
-        "lanes": lanes_out,
-        "model": (
-            "speedup_modeled = serial / (max lane speculation + commit pass), "
-            "i.e. one core per lane; speedup_wall is measured in-process on "
-            f"this host (cpu_count={os.cpu_count()})"
-        ),
-    }
-
-
 # ----- static sharding: tasks partitioned by contract address ------------------------
 
 
@@ -403,9 +249,9 @@ def measure_sharded_throughput(
       (shards execute sequentially in this simulation, so this cannot
       beat serial — it honestly shows the facade's overhead).
     - ``critical_path_seconds``: sum over rounds of the *slowest*
-      shard's block-build critical path — the round time a deployment
-      with one host per shard would observe.  The speedup gate asserts
-      on this modeled number, mirroring the parallel-execution bench.
+      shard's block-execution time (``Node.last_build_seconds``) — the
+      round time a deployment with one host per shard would observe.
+      The speedup gate asserts on this modeled number.
     """
     from repro.chain.sharding import ShardedChain, home_shard
 
@@ -449,12 +295,7 @@ def measure_sharded_throughput(
                 chain.mine_block()
                 rounds += 1
                 modeled += max(
-                    (
-                        net.miners[0].last_build_stats.critical_path_seconds
-                        if net.miners[0].last_build_stats is not None
-                        else 0.0
-                    )
-                    for net in chain.shard_testnets
+                    net.miners[0].last_build_seconds for net in chain.shard_testnets
                 )
                 if rounds > 64:
                     raise AssertionError("sharded settlement did not drain")
@@ -519,36 +360,6 @@ def test_throughput_smoke_n8() -> None:
     )
     # Batching is the mechanism: the engine must amortize blocks.
     assert record["engine_blocks"] < record["serial_blocks"] / 4
-
-
-def test_parallel_block_execution_smoke() -> None:
-    """CI gate for the optimistic scheduler at N=32.
-
-    The independent workload must commit every transaction
-    speculatively and model >=1.5x at 4 lanes; the contended workload
-    must show a nonzero conflict rate while still committing the
-    serial-identical block (asserted inside the measurement).
-    """
-    record = measure_parallel_block_execution(
-        n_txs=32, lane_counts=(1, 2, 4, 8), repeats=3
-    )
-    write_record(record, key="parallel-exec-n32")
-    four = record["lanes"]["4"]
-    assert four["stats"]["conflicts"] == 0, "independent workload must not conflict"
-    assert four["stats"]["speculative_commits"] == 32
-    assert four["speedup_modeled"] >= 1.5, (
-        f"modeled 4-lane speedup {four['speedup_modeled']}x below the 1.5x floor "
-        f"(serial {record['serial_seconds']}s, "
-        f"critical path {four['critical_path_seconds']}s)"
-    )
-
-    contended = measure_parallel_block_execution(
-        n_txs=32, lane_counts=(1, 4), repeats=2, contended=True
-    )
-    write_record(contended, key="parallel-exec-n32-contended")
-    stats = contended["lanes"]["4"]["stats"]
-    assert stats["conflicts"] > 0 and stats["conflict_rate"] > 0
-    assert stats["reexecutions"] >= stats["conflicts"]
 
 
 @pytest.mark.sharding
@@ -621,10 +432,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--backend", default="mock", choices=["mock", "groth16"])
     parser.add_argument("--repeats", type=int, default=2)
     parser.add_argument(
-        "--parallel-exec", action="store_true",
-        help="also sweep optimistic block execution over lanes 1/2/4/8",
-    )
-    parser.add_argument(
         "--sharding-sweep", type=int, metavar="N", default=None,
         help="run the N-task settlement sweep over shards 1/2/4/8 and exit",
     )
@@ -644,21 +451,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             )
         print(f"wrote {_BENCH_PATH}")
         return
-    if args.parallel_exec:
-        for contended in (False, True):
-            record = measure_parallel_block_execution(
-                n_txs=32, lane_counts=(1, 2, 4, 8) if not contended else (1, 4),
-                repeats=args.repeats, contended=contended,
-            )
-            suffix = "-contended" if contended else ""
-            write_record(record, key=f"parallel-exec-n32{suffix}")
-            for lanes, entry in record["lanes"].items():
-                modeled = entry.get("speedup_modeled", 1.0)
-                print(
-                    f"parallel{suffix} lanes={lanes}: wall {entry['wall_seconds']:.3f}s "
-                    f"modeled speedup {modeled:.2f}x "
-                    f"conflict_rate {entry['stats']['conflict_rate']:.2f}"
-                )
     for workers in args.workers:
         for tasks in args.tasks:
             record = measure_pair(

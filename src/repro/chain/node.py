@@ -16,8 +16,9 @@ dropping them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import observability as obs
 from repro.crypto import ecdsa
@@ -28,7 +29,6 @@ from repro.chain.contract import BlockContext
 from repro.chain.gas import DEFAULT_SCHEDULE, GasSchedule
 from repro.chain.journal import ChainJournal
 from repro.chain.mempool import Mempool
-from repro.chain.parallel import execute_block
 from repro.chain.receipts import EMPTY_RECEIPTS_ROOT, Receipt, receipts_root
 from repro.chain.state import WorldState
 from repro.chain.transaction import SignedTransaction
@@ -89,18 +89,12 @@ class Node:
         keypair: Optional[ecdsa.ECDSAKeyPair] = None,
         is_miner: bool = False,
         schedule: GasSchedule = DEFAULT_SCHEDULE,
-        execution_lanes: int = 1,
-        execution_workers: int = 1,
         mempool_capacity: Optional[int] = None,
     ) -> None:
         self.name = name
         self.genesis = genesis
         self.keypair = keypair or ecdsa.ECDSAKeyPair.from_seed(name.encode())
         self.is_miner = is_miner
-        #: Optimistic-concurrency knobs: speculative lanes per block and
-        #: forked worker processes driving them (1/1 = serial).
-        self.execution_lanes = max(1, execution_lanes)
-        self.execution_workers = max(1, execution_workers)
         self.engine = engine or PoAEngine([self.keypair.public_key])
         self.vm = VM(schedule=schedule, chain_id=genesis.chain_id)
         self.mempool = Mempool(capacity=mempool_capacity)
@@ -109,9 +103,9 @@ class Node:
         #: Counters for recovery tests: accepted imports / import calls.
         self.blocks_imported = 0
         self.import_attempts = 0
-        #: Execution stats of the last block this node built (the shard
-        #: throughput bench reads critical-path timings from here).
-        self.last_build_stats = None
+        #: Wall seconds the last block this node built spent executing
+        #: its transactions (the shard throughput bench reads it).
+        self.last_build_seconds = 0.0
         self._reset_in_memory_state()
 
     def _reset_in_memory_state(self) -> None:
@@ -236,14 +230,12 @@ class Node:
             selected = self.mempool.select_for_block(
                 self.genesis.gas_limit, state=self.head_state
             )
-            execution = execute_block(
-                self.vm, state, selected, block_ctx,
-                lanes=self.execution_lanes, workers=self.execution_workers,
-                mode="build",
+            started = time.perf_counter()
+            included, receipts = self._execute(
+                state, selected, block_ctx, drop_invalid=True
             )
-            included = execution.included
-            gas_used = execution.gas_used
-            self.last_build_stats = execution.stats
+            self.last_build_seconds = time.perf_counter() - started
+            gas_used = sum(receipt.gas_used for receipt in receipts)
             header = BlockHeader(
                 number=parent.number + 1,
                 parent_hash=parent.block_hash,
@@ -251,20 +243,43 @@ class Node:
                 miner=self.address,
                 state_root=state.state_root(),
                 tx_root=transactions_root(included),
-                receipts_root=receipts_root(execution.receipts),
+                receipts_root=receipts_root(receipts),
                 gas_used=gas_used,
                 gas_limit=self.genesis.gas_limit,
             )
             seal = self.engine.seal(header, self.keypair)
             sealed = replace(header, seal=seal)
             block = Block(header=sealed, transactions=tuple(included))
-            mine_span.set_attrs(
-                txs=len(included), gas_used=gas_used,
-                lanes=execution.stats.lanes,
-                reexecutions=execution.stats.reexecutions,
-            )
+            mine_span.set_attrs(txs=len(included), gas_used=gas_used)
             self.import_block(block)
         return block
+
+    def _execute(
+        self,
+        state: WorldState,
+        transactions: Sequence[SignedTransaction],
+        block_ctx: BlockContext,
+        drop_invalid: bool,
+    ) -> Tuple[List[SignedTransaction], List[Receipt]]:
+        """Execute a block's transactions in order against ``state``.
+
+        A transaction that is invalid at its serial position raises
+        :class:`~repro.errors.InvalidTransactionError`, unless
+        ``drop_invalid`` (the miner) leaves it out of the block instead.
+        Returns the included transactions and their receipts.
+        """
+        included: List[SignedTransaction] = []
+        receipts: List[Receipt] = []
+        for stx in transactions:
+            try:
+                receipt = self.vm.execute_transaction(state, stx, block_ctx)
+            except InvalidTransactionError:
+                if not drop_invalid:
+                    raise
+                continue
+            included.append(stx)
+            receipts.append(receipt)
+        return included, receipts
 
     # ----- block import --------------------------------------------------------------------
 
@@ -302,15 +317,12 @@ class Node:
             coinbase=block.header.miner,
         )
         try:
-            execution = execute_block(
-                self.vm, state, list(block.transactions), block_ctx,
-                lanes=self.execution_lanes, workers=self.execution_workers,
-                mode="verify",
+            _, receipts = self._execute(
+                state, block.transactions, block_ctx, drop_invalid=False
             )
         except InvalidTransactionError as exc:
             raise InvalidBlockError(f"invalid transaction in block: {exc}") from exc
-        receipts = execution.receipts
-        if execution.gas_used != block.header.gas_used:
+        if sum(receipt.gas_used for receipt in receipts) != block.header.gas_used:
             raise InvalidBlockError("gas-used mismatch after re-execution")
         if state.state_root() != block.header.state_root:
             raise InvalidBlockError("state root mismatch after re-execution")

@@ -1,14 +1,14 @@
 """Static chain sharding by task-contract address, with cross-shard
 reward settlement.
 
-The chain-level scaling step the ROADMAP sketches after optimistic
-parallel execution: a *shard* is a lane whose assignment is static and
-whose conflicts are cross-shard messages.  :class:`ShardedChain` runs S
+The chain-level scaling step: a *shard* is an independent chain that
+owns a static slice of the task contracts, and whose conflicts with
+other shards are cross-shard messages.  :class:`ShardedChain` runs S
 independent :class:`~repro.chain.network.Testnet` sub-chains (each with
-its own miners, mempool, faucet and per-shard parallel block
-production), statically routes every transaction to the home shard of
-the contract it touches, and settles value *between* shards through a
-burn-and-mint bridge:
+its own miners, mempool, faucet and serial block production),
+statically routes every transaction to the home shard of the contract
+it touches, and settles value *between* shards through a burn-and-mint
+bridge:
 
 - **Outbox** (source shard): ``ShardOutbox.send(dest, recipient)``
   escrow-burns the attached value, assigns the next per-channel
@@ -724,8 +724,6 @@ class ShardedChain:
         gas_limit: int = 30_000_000,
         initial_faucet_balance: int = 10**30,
         fault_plan: Optional[object] = None,
-        execution_lanes: int = 1,
-        execution_workers: int = 1,
         mempool_capacity: Optional[int] = None,
     ) -> None:
         if shards < 1:
@@ -759,8 +757,6 @@ class ShardedChain:
                     gas_limit=gas_limit,
                     initial_faucet_balance=initial_faucet_balance,
                     fault_plan=plans[k],
-                    execution_lanes=execution_lanes,
-                    execution_workers=execution_workers,
                     mempool_capacity=mempool_capacity,
                     faucet_seed=faucet_seed,
                     extra_allocations=extra,

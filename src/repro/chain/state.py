@@ -1,10 +1,10 @@
 """World state: the address → account map with snapshot support.
 
-Three rollback/isolation mechanisms coexist:
+Two rollback mechanisms coexist:
 
-* :meth:`snapshot`/:meth:`restore` deep-copy the whole state — used
-  per *block* (miners build on a scratch copy, importers re-execute
-  against the parent state).
+* :meth:`snapshot` deep-copies the whole state — used per *block*
+  (miners build on a scratch copy, importers re-execute against the
+  parent state).
 * :meth:`begin_transaction`/:meth:`commit_transaction`/
   :meth:`rollback_transaction` maintain a *stack* of copy-on-write
   journal frames that record preimages of only the accounts a single
@@ -12,13 +12,7 @@ Three rollback/isolation mechanisms coexist:
   would make execution cost scale with total account count instead of
   touched account count.  ``begin_transaction`` returns a
   :class:`JournalHandle`; nested frames are legal and must close in
-  LIFO order.  Each frame also tracks the account-granular read/write
-  set of its window, which is what makes optimistic concurrency
-  (:mod:`repro.chain.parallel`) able to detect conflicts post-hoc.
-* :class:`LaneState` is a copy-on-write overlay over an immutable base
-  state, giving each speculative execution lane an isolated view plus
-  a captured per-transaction effect (:class:`TxEffects`) that the
-  commit pass can replay verbatim.
+  LIFO order.
 
 The state root is a content hash used by block validation to assert
 that every node executed identically — the "correct computation"
@@ -27,7 +21,6 @@ property of the ideal public ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.crypto.hashing import sha256
@@ -36,59 +29,15 @@ from repro.serialization import encode
 from repro.chain.account import Account
 
 
-@dataclass
-class AccessSet:
-    """Account-granular read/write footprint of one execution window.
-
-    ``writes`` over-approximates: any account fetched through the
-    mutable :meth:`WorldState.account` accessor counts as written, even
-    if the caller only read it.  Over-approximation is safe for
-    conflict detection (it can only add conflicts, never hide one).
-    """
-
-    reads: Set[bytes] = field(default_factory=set)
-    writes: Set[bytes] = field(default_factory=set)
-
-    def touched(self) -> Set[bytes]:
-        return self.reads | self.writes
-
-    def merge(self, other: "AccessSet") -> None:
-        self.reads |= other.reads
-        self.writes |= other.writes
-
-
 class JournalHandle:
-    """One open copy-on-write journal frame.
+    """One open copy-on-write journal frame: first-touch account
+    preimages (``None`` marks an account created inside the window)."""
 
-    Holds first-touch account preimages (``None`` marks an account
-    created inside the window), the window's access set, and undo
-    entries for buffered lane credits (see :meth:`LaneState.credit`).
-    """
-
-    __slots__ = ("preimages", "journaled", "access", "credit_undo")
+    __slots__ = ("preimages", "journaled")
 
     def __init__(self) -> None:
         self.preimages: List[Tuple[bytes, Optional[Account]]] = []
         self.journaled: Set[bytes] = set()
-        self.access = AccessSet()
-        # (address, lane_delta, tx_delta) to re-add on rollback.
-        self.credit_undo: List[Tuple[bytes, int, int]] = []
-
-
-@dataclass
-class TxEffects:
-    """One transaction's captured effect on a :class:`LaneState`.
-
-    ``written`` maps addresses to the account's absolute end-of-tx
-    value; ``credits`` holds commutative balance deltas to accounts the
-    transaction never otherwise touched (miner fees, transfer
-    recipients).  The two key sets are disjoint: materializing an
-    account folds its pending credits into the absolute value.
-    """
-
-    access: AccessSet
-    written: Dict[bytes, Account]
-    credits: Dict[bytes, int]
 
 
 class WorldState:
@@ -103,58 +52,34 @@ class WorldState:
     def account(self, address: bytes) -> Account:
         """Fetch (creating lazily) the account at ``address``.
 
-        The returned object is mutable, so this access counts as a
-        write in the open journal frame's access set.
+        The returned object is mutable, so the open journal frame
+        records its preimage on first touch.
         """
-        self._record_rw(address)
         account = self._accounts.get(address)
-        self._journal_first_touch(address, account)
+        if self._frames:
+            top = self._frames[-1]
+            if address not in top.journaled:
+                top.journaled.add(address)
+                top.preimages.append(
+                    (address, account.clone() if account is not None else None)
+                )
         if account is None:
-            account = self._materialize(address)
+            account = self._accounts[address] = Account()
         return account
 
     def has_account(self, address: bytes) -> bool:
-        self._record_read(address)
         return address in self._accounts
 
     def balance_of(self, address: bytes) -> int:
-        self._record_read(address)
         account = self._accounts.get(address)
         return account.balance if account else 0
 
     def nonce_of(self, address: bytes) -> int:
-        self._record_read(address)
         account = self._accounts.get(address)
         return account.nonce if account else 0
 
     def accounts(self) -> Iterator[Tuple[bytes, Account]]:
         return iter(self._accounts.items())
-
-    # ----- access/journal plumbing (overridden by LaneState) -------------------
-
-    def _record_read(self, address: bytes) -> None:
-        if self._frames:
-            self._frames[-1].access.reads.add(address)
-
-    def _record_rw(self, address: bytes) -> None:
-        if self._frames:
-            access = self._frames[-1].access
-            access.reads.add(address)
-            access.writes.add(address)
-
-    def _journal_first_touch(self, address: bytes, account: Optional[Account]) -> None:
-        if not self._frames:
-            return
-        top = self._frames[-1]
-        if address in top.journaled:
-            return
-        top.journaled.add(address)
-        top.preimages.append((address, account.clone() if account is not None else None))
-
-    def _materialize(self, address: bytes) -> Account:
-        account = Account()
-        self._accounts[address] = account
-        return account
 
     # ----- mutation -------------------------------------------------------------
 
@@ -178,14 +103,6 @@ class WorldState:
         self.debit(source, amount)
         self.credit(destination, amount)
 
-    def apply_effects(self, effects: TxEffects) -> None:
-        """Replay a captured :class:`TxEffects` verbatim onto this state."""
-        for address, account in effects.written.items():
-            self._accounts[address] = account
-        for address, delta in effects.credits.items():
-            if delta:
-                self.credit(address, delta)
-
     # ----- snapshots --------------------------------------------------------------
 
     def snapshot(self) -> "WorldState":
@@ -194,12 +111,6 @@ class WorldState:
         clone._accounts = {addr: acct.clone() for addr, acct in self._accounts.items()}
         return clone
 
-    def restore(self, snapshot: "WorldState") -> None:
-        """Replace this state's contents with a snapshot's."""
-        self._accounts = {
-            addr: acct.clone() for addr, acct in snapshot._accounts.items()
-        }
-
     # ----- tx journal --------------------------------------------------------------
 
     def begin_transaction(self) -> JournalHandle:
@@ -207,9 +118,8 @@ class WorldState:
 
         Unlike :meth:`snapshot` this is O(accounts touched), not
         O(accounts total).  Frames nest — each ``begin`` pushes a new
-        frame and returns its handle, so independent callers (parallel
-        execution lanes, nested VM windows) no longer trip over a
-        single global journal.  Frames must close innermost-first.
+        frame and returns its handle, so nested VM windows do not trip
+        over a single global journal.  Frames must close innermost-first.
         """
         frame = JournalHandle()
         self._frames.append(frame)
@@ -224,8 +134,6 @@ class WorldState:
                 if address not in parent.journaled:
                     parent.journaled.add(address)
                     parent.preimages.append((address, preimage))
-            parent.access.merge(frame.access)
-            parent.credit_undo.extend(frame.credit_undo)
 
     def rollback_transaction(self, handle: Optional[JournalHandle] = None) -> None:
         """Undo every change made since the matching :meth:`begin_transaction`."""
@@ -235,11 +143,6 @@ class WorldState:
                 self._accounts.pop(address, None)
             else:
                 self._accounts[address] = preimage
-        self._undo_credits(frame)
-        if self._frames:
-            # Rolled-back reads/writes still happened; conflict
-            # detection must keep them visible to the outer window.
-            self._frames[-1].access.merge(frame.access)
 
     def journal_depth(self) -> int:
         return len(self._frames)
@@ -253,10 +156,6 @@ class WorldState:
                 "(frames close in LIFO order)"
             )
         return self._frames.pop()
-
-    def _undo_credits(self, frame: JournalHandle) -> None:
-        if frame.credit_undo:  # only LaneState ever records credit undos
-            raise ChainError("credit undo entries on a non-lane state")
 
     # ----- integrity ----------------------------------------------------------------
 
@@ -291,128 +190,10 @@ class WorldState:
 
 
 class LaneState(WorldState):
-    """A copy-on-write overlay for one speculative execution lane.
-
-    Reads fall through to the immutable ``base``; the first access via
-    :meth:`account` materializes a deep clone into the overlay, so the
-    base is never mutated.  Credits to accounts the lane has not
-    otherwise touched are buffered as commutative *deltas* instead of
-    writes — two lanes paying the same coinbase therefore never
-    conflict.  Between :meth:`begin_access_window` and
-    :meth:`finish_access_window` every access and mutation is captured
-    into a :class:`TxEffects` the commit pass can apply verbatim.
-    """
-
-    def __init__(self, base: WorldState) -> None:
-        super().__init__()
-        self._base = base
-        # Lane-wide pending credit deltas to unmaterialized accounts,
-        # and the portion contributed by the current access window.
-        self._credits: Dict[bytes, int] = {}
-        self._tx_credits: Dict[bytes, int] = {}
-        self.access = AccessSet()
-
-    # ----- recording ------------------------------------------------------------
-
-    def _record_read(self, address: bytes) -> None:
-        self.access.reads.add(address)
-        super()._record_read(address)
-
-    def _record_rw(self, address: bytes) -> None:
-        self.access.reads.add(address)
-        self.access.writes.add(address)
-        super()._record_rw(address)
-
-    # ----- overlay reads ---------------------------------------------------------
-
-    def _materialize(self, address: bytes) -> Account:
-        pending = self._credits.pop(address, 0)
-        if pending:
-            tx_part = self._tx_credits.pop(address, 0)
-            if self._frames:
-                self._frames[-1].credit_undo.append((address, pending, tx_part))
-        base_account = self._base._accounts.get(address)
-        account = base_account.clone() if base_account is not None else Account()
-        if pending:
-            account.balance += pending
-        self._accounts[address] = account
-        return account
-
-    def has_account(self, address: bytes) -> bool:
-        self._record_read(address)
-        return (
-            address in self._accounts
-            or address in self._credits
-            or address in self._base._accounts
-        )
-
-    def balance_of(self, address: bytes) -> int:
-        self._record_read(address)
-        account = self._accounts.get(address)
-        if account is not None:
-            return account.balance
-        base_account = self._base._accounts.get(address)
-        base_balance = base_account.balance if base_account is not None else 0
-        return base_balance + self._credits.get(address, 0)
-
-    def nonce_of(self, address: bytes) -> int:
-        self._record_read(address)
-        account = self._accounts.get(address)
-        if account is None:
-            account = self._base._accounts.get(address)
-        return account.nonce if account is not None else 0
-
-    # ----- overlay writes --------------------------------------------------------
-
-    def credit(self, address: bytes, amount: int) -> None:
-        if amount < 0:
-            raise ChainError("cannot credit a negative amount")
-        if address in self._accounts:
-            # Already materialized: a credit is just a write.
-            self.account(address).balance += amount
-            return
-        self._credits[address] = self._credits.get(address, 0) + amount
-        self._tx_credits[address] = self._tx_credits.get(address, 0) + amount
-        if self._frames:
-            self._frames[-1].credit_undo.append((address, -amount, -amount))
-
-    def _undo_credits(self, frame: JournalHandle) -> None:
-        for address, lane_delta, tx_delta in reversed(frame.credit_undo):
-            for bucket, delta in ((self._credits, lane_delta), (self._tx_credits, tx_delta)):
-                if not delta:
-                    continue
-                total = bucket.get(address, 0) + delta
-                if total:
-                    bucket[address] = total
-                else:
-                    bucket.pop(address, None)
-
-    # ----- per-transaction capture -----------------------------------------------
-
-    def begin_access_window(self) -> None:
-        """Reset the per-transaction access set and credit ledger."""
-        self.access = AccessSet()
-        self._tx_credits = {}
-
-    def finish_access_window(self) -> TxEffects:
-        """Freeze and return the window's effects (clones, not views)."""
-        written = {
-            address: self._accounts[address].clone()
-            for address in self.access.writes
-            if address in self._accounts
-        }
-        credits = {
-            address: delta for address, delta in self._tx_credits.items() if delta
-        }
-        effects = TxEffects(access=self.access, written=written, credits=credits)
-        self.access = AccessSet()
-        self._tx_credits = {}
-        return effects
-
-    # ----- guards ----------------------------------------------------------------
+    """Nothing in the package builds this class.  It remains only
+    because ``zlbench/layers.py`` wraps ``LaneState.state_root`` by
+    name, which requires the method to be defined here; the next change
+    to zlbench drops that target and this class together."""
 
     def state_root(self) -> bytes:
         raise ChainError("lane overlays have no standalone state root")
-
-    def total_supply(self) -> int:
-        raise ChainError("lane overlays have no standalone total supply")

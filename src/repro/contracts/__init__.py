@@ -6,9 +6,8 @@ registration-tree root), and each crowdsourcing task is its own
 :class:`~repro.contracts.task.TaskContract` implementing Algorithm 1.
 """
 
-from repro.contracts.kvstore import KVStore
 from repro.contracts.marketplace import MarketplaceContract
 from repro.contracts.registry import RegistryContract
 from repro.contracts.task import TaskContract
 
-__all__ = ["KVStore", "MarketplaceContract", "RegistryContract", "TaskContract"]
+__all__ = ["MarketplaceContract", "RegistryContract", "TaskContract"]

@@ -8,7 +8,7 @@ import pytest
 
 from repro.crypto import ecdsa
 from repro.errors import InvalidBlockError
-from repro.chain.block import Block, BlockHeader
+from repro.chain.block import Block, transactions_root
 from repro.chain.consensus import PoAEngine
 from repro.chain.node import GenesisConfig, Node
 from repro.chain.transaction import Transaction
@@ -38,6 +38,14 @@ def follower(genesis) -> Node:
 def _transfer(nonce: int, value: int = 100) -> Transaction:
     return Transaction(nonce=nonce, gas_price=1, gas_limit=21_000,
                        to=PEER.address(), value=value)
+
+
+def _resealed(block: Block, engine: PoAEngine, **changes) -> Block:
+    """``block`` with header fields replaced and a valid miner seal, so
+    the import gets past the seal check to the field under test."""
+    header = dataclasses.replace(block.header, **changes)
+    header = dataclasses.replace(header, seal=engine.seal(header, MINER_KEY))
+    return dataclasses.replace(block, header=header)
 
 
 def test_genesis_state(miner) -> None:
@@ -80,11 +88,26 @@ def test_import_rejects_unknown_parent(miner, follower) -> None:
         follower.import_block(b2)  # b1 never delivered
 
 
-def test_import_rejects_tampered_state_root(miner, follower) -> None:
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("state_root", b"\x01" * 32, "state root mismatch"),
+        ("gas_used", 1, "gas-used mismatch"),
+        ("receipts_root", b"\xee" * 32, "receipts root"),
+    ],
+    ids=["state_root", "gas_used", "receipts_root"],
+)
+def test_import_rejects_resealed_execution_commitment(
+    miner, follower, field, value, reason
+) -> None:
+    """A correctly sealed header whose execution commitment disagrees
+    with re-execution is refused for that reason."""
+    miner.submit_transaction(_transfer(0).sign(USER))
     block = miner.create_block(timestamp=1_500_000_015)
-    header = dataclasses.replace(block.header, state_root=b"\x01" * 32)
-    with pytest.raises(InvalidBlockError):
-        follower.import_block(Block(header=header, transactions=block.transactions))
+    forged = _resealed(block, miner.engine, **{field: value})
+    with pytest.raises(InvalidBlockError, match=reason):
+        follower.import_block(forged)
+    assert follower.import_block(block)
 
 
 def test_import_rejects_tampered_transactions(miner, follower) -> None:
@@ -157,3 +180,34 @@ def test_miner_earns_fees(miner) -> None:
     block = miner.create_block(timestamp=1_500_000_015)
     receipt = miner.get_receipt(block.transactions[0].tx_hash)
     assert miner.balance_of(MINER_KEY.address()) == receipt.gas_used
+
+
+def _poor_user_nodes():
+    """A miner and a follower whose user can afford one 5,000-value
+    transfer but not two: each is admitted against the head state, the
+    second is invalid once the first has executed."""
+    genesis = GenesisConfig(allocations={USER.address(): 30_000})
+    engine = PoAEngine([MINER_KEY.public_key])
+    miner = Node("miner", genesis, engine=engine, keypair=MINER_KEY, is_miner=True)
+    follower = Node("follower", genesis, engine=engine)
+    txs = [_transfer(nonce, value=5_000).sign(USER) for nonce in (0, 1)]
+    for stx in txs:
+        miner.submit_transaction(stx)
+    return miner, follower, txs
+
+
+def test_miner_drops_transaction_invalid_at_its_serial_position() -> None:
+    miner, follower, txs = _poor_user_nodes()
+    block = miner.create_block(timestamp=1_500_000_015)
+    assert [stx.tx_hash for stx in block.transactions] == [txs[0].tx_hash]
+    assert miner.get_receipt(txs[1].tx_hash) is None
+    assert follower.import_block(block)
+
+
+def test_import_rejects_block_with_serially_invalid_transaction() -> None:
+    miner, follower, txs = _poor_user_nodes()
+    block = miner.create_block(timestamp=1_500_000_015)
+    forged = _resealed(block, miner.engine, tx_root=transactions_root(txs))
+    forged = dataclasses.replace(forged, transactions=tuple(txs))
+    with pytest.raises(InvalidBlockError, match="invalid transaction in block"):
+        follower.import_block(forged)
